@@ -781,6 +781,25 @@ probability ( b | a ) { (a0) 0.9, 0.1; }
     }
 
     #[test]
+    fn negative_and_non_finite_probabilities_rejected() {
+        // `1e999` lexes to +inf; inf + -inf is a NaN row sum.
+        for (row, entry) in [("1.5, -0.5", "-0.5"), ("1e999, -1e999", "inf")] {
+            let src = format!(
+                "network t {{ }}\nvariable a {{ type discrete [ 2 ] {{ a0, a1 }}; }}\n\
+                 probability ( a ) {{ table {row}; }}"
+            );
+            let err = parse(&src).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "CPT of V0 has entry {entry} at parent configuration 0; \
+                     probabilities must be finite and >= 0"
+                )
+            );
+        }
+    }
+
+    #[test]
     fn comments_and_whitespace_tolerated() {
         let src = "/* header */\nnetwork c { } // trailing\nvariable v { type discrete [ 2 ] { x, y }; }\nprobability ( v ) { table 0.5, 0.5; }";
         let bif = parse(src).unwrap();

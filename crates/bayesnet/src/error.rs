@@ -27,6 +27,15 @@ pub enum BayesError {
         /// The row sum found.
         sum: f64,
     },
+    /// A CPT entry is negative or not finite.
+    BadCptEntry {
+        /// The child variable.
+        var: VarId,
+        /// Flat index of the offending parent configuration.
+        parent_config: usize,
+        /// The entry found.
+        value: f64,
+    },
     /// A CPT was supplied with the wrong number of rows or columns.
     CptShapeMismatch {
         /// The child variable.
@@ -57,6 +66,15 @@ impl fmt::Display for BayesError {
             } => write!(
                 f,
                 "CPT of {var} does not normalize at parent configuration {parent_config} (sum {sum})"
+            ),
+            BayesError::BadCptEntry {
+                var,
+                parent_config,
+                value,
+            } => write!(
+                f,
+                "CPT of {var} has entry {value} at parent configuration {parent_config}; \
+                 probabilities must be finite and >= 0"
             ),
             BayesError::CptShapeMismatch {
                 var,
@@ -104,6 +122,11 @@ mod tests {
                 var: VarId(2),
                 parent_config: 0,
                 sum: 0.9,
+            },
+            BayesError::BadCptEntry {
+                var: VarId(2),
+                parent_config: 1,
+                value: -0.5,
             },
             BayesError::CptShapeMismatch {
                 var: VarId(2),

@@ -26,7 +26,8 @@ impl Cpt {
     ///
     /// # Errors
     ///
-    /// [`BayesError::CptShapeMismatch`] for wrong row/column counts and
+    /// [`BayesError::CptShapeMismatch`] for wrong row/column counts,
+    /// [`BayesError::BadCptEntry`] for a negative or non-finite entry and
     /// [`BayesError::UnnormalizedCpt`] if any row does not sum to 1
     /// within `1e-9`.
     pub fn new(child: Variable, parents: Vec<Variable>, rows: Vec<Vec<f64>>) -> Result<Self> {
@@ -45,6 +46,15 @@ impl Cpt {
                     var: child.id(),
                     expected: (expected_rows, child.cardinality()),
                     found: (rows.len(), row.len()),
+                });
+            }
+            // Before the sum test: `[1.5, -0.5]` sums to 1, and a NaN
+            // sum fails no comparison.
+            if let Some(&value) = row.iter().find(|p| !(p.is_finite() && **p >= 0.0)) {
+                return Err(BayesError::BadCptEntry {
+                    var: child.id(),
+                    parent_config: i,
+                    value,
                 });
             }
             let s: f64 = row.iter().sum();
@@ -371,6 +381,33 @@ mod tests {
             Cpt::new(v, vec![], vec![vec![0.5, 0.6]]),
             Err(BayesError::UnnormalizedCpt { .. })
         ));
+    }
+
+    #[test]
+    fn cpt_rejects_negative_and_non_finite_entries() {
+        let v = Variable::binary(VarId(4));
+        let p = Variable::binary(VarId(1));
+        // sums to 1, so only the entry check can catch it
+        let err = Cpt::new(v, vec![p], vec![vec![0.5, 0.5], vec![1.5, -0.5]]).unwrap_err();
+        assert_eq!(
+            err,
+            BayesError::BadCptEntry {
+                var: VarId(4),
+                parent_config: 1,
+                value: -0.5,
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "CPT of V4 has entry -0.5 at parent configuration 1; \
+             probabilities must be finite and >= 0"
+        );
+        // a NaN sum fails no comparison
+        let err = Cpt::new(v, vec![], vec![vec![f64::NAN, 1.0]]).unwrap_err();
+        assert!(
+            matches!(err, BayesError::BadCptEntry { var: VarId(4), parent_config: 0, value } if value.is_nan()),
+            "{err}"
+        );
     }
 
     #[test]

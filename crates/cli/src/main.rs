@@ -37,12 +37,7 @@ const USAGE: &str = "usage:
   evprop trace <file.bif> [--out FILE] [--threads P] [--delta D] [--runs N] [--stealing]
   evprop trace --random [--cliques N] [--width W] [--states R] [--degree K] [--seed S] [--out FILE] ...
   evprop trace-validate <trace.json>
-  evprop simulate --cliques N --width W --states R --degree K [--cores P]... [--policy collab|openmp|dp|pnl] [--gantt]
-
-global flags (any command):
-  --kernel-backend scalar|sse2|avx2|portable|auto
-      SIMD backend for the table kernels (default: auto-detect, or the
-      EVPROP_KERNEL_BACKEND env var); all backends are bit-identical";
+  evprop simulate --cliques N --width W --states R --degree K [--cores P]... [--policy collab|openmp|dp|pnl] [--gantt]";
 
 fn main() -> ExitCode {
     // Exit quietly when stdout is closed early (`evprop query … | head`):
@@ -74,8 +69,6 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    let args = apply_kernel_backend(args)?;
-    let args = &args[..];
     match args.first().map(String::as_str) {
         Some("info") => cmd_info(&args[1..]),
         Some("query") => cmd_query(&args[1..]),
@@ -93,40 +86,6 @@ fn run(args: &[String]) -> Result<(), String> {
         }
         Some(other) => Err(format!("unknown command '{other}'")),
     }
-}
-
-/// Strips a global `--kernel-backend NAME` flag (accepted anywhere on
-/// the command line, before or after the subcommand), installs the
-/// named SIMD backend process-wide, and returns the remaining
-/// arguments. `auto` re-runs CPU detection explicitly; every backend
-/// computes bit-identical tables, so the flag only affects speed.
-fn apply_kernel_backend(args: &[String]) -> Result<Vec<String>, String> {
-    use evprop_potential::simd;
-    let mut rest = Vec::with_capacity(args.len());
-    let mut chosen = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--kernel-backend" {
-            let name = args
-                .get(i + 1)
-                .ok_or("--kernel-backend needs scalar|sse2|avx2|portable|auto".to_string())?;
-            chosen = Some(name.clone());
-            i += 2;
-        } else {
-            rest.push(args[i].clone());
-            i += 1;
-        }
-    }
-    if let Some(name) = chosen {
-        let be = if name == "auto" {
-            evprop_potential::KernelBackend::detect()
-        } else {
-            evprop_potential::KernelBackend::parse(&name)
-                .ok_or_else(|| format!("unknown kernel backend '{name}'"))?
-        };
-        simd::set_active(be).map_err(|e| e.to_string())?;
-    }
-    Ok(rest)
 }
 
 fn load(path: &str) -> Result<BifNetwork, String> {
@@ -170,6 +129,7 @@ fn parse_evidence(bif: &BifNetwork, args: &[String]) -> Result<EvidenceSet, Stri
                 .map(|w| w.parse::<f64>())
                 .collect::<std::result::Result<_, _>>()
                 .map_err(|_| format!("bad weights in '{spec}'"))?;
+            evprop_serve::check_likelihood_weights(var, &ws)?;
             ev.observe_likelihood(v, ws);
             i += 2;
         } else {
@@ -933,12 +893,18 @@ mod tests {
     use super::*;
 
     fn asia_file() -> String {
-        let dir = std::env::temp_dir().join("evprop-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("asia.bif");
-        let text = bif::write(&bif::with_generated_names(networks::asia(), "asia"));
-        std::fs::write(&path, text).unwrap();
-        path.to_string_lossy().into_owned()
+        // Written once: tests run on parallel threads, and a rewrite
+        // truncates the file under a concurrent reader.
+        static PATH: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        PATH.get_or_init(|| {
+            let dir = std::env::temp_dir().join("evprop-cli-tests");
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("asia.bif");
+            let text = bif::write(&bif::with_generated_names(networks::asia(), "asia"));
+            std::fs::write(&path, text).unwrap();
+            path.to_string_lossy().into_owned()
+        })
+        .clone()
     }
 
     fn s(v: &[&str]) -> Vec<String> {
@@ -977,6 +943,18 @@ mod tests {
         // soft evidence
         cmd_query(&s(&[&f, "--target", "v3", "--likelihood", "v6=0.3:0.9"])).unwrap();
         assert!(cmd_query(&s(&[&f, "--target", "v3", "--likelihood", "v6=x:y"])).is_err());
+        for (weights, why) in [
+            ("v6=0.3:-0.9", "weight 1 is -0.9"),
+            ("v6=1e999:1", "weight 0 is inf"),
+            ("v6=NaN:1", "weight 0 is NaN"),
+            ("v6=0:0", "is all zero"),
+        ] {
+            let e = cmd_query(&s(&[&f, "--target", "v3", "--likelihood", weights])).unwrap_err();
+            assert!(
+                e.starts_with("likelihood of 'v6'") && e.contains(why),
+                "{e}"
+            );
+        }
     }
 
     #[test]

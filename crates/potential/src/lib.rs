@@ -36,7 +36,6 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
 mod domain;
 mod error;
@@ -46,7 +45,7 @@ mod max_primitives;
 pub mod plan;
 mod primitives;
 pub mod raw;
-pub mod simd;
+mod simd;
 mod table;
 mod var;
 
@@ -56,7 +55,6 @@ pub use evidence::{Evidence, EvidenceSet, Likelihood};
 pub use index::{Assignment, AxisWalker, Odometer};
 pub use plan::{KernelPlan, PlanKind};
 pub use primitives::{EntryRange, PrimitiveKind};
-pub use simd::KernelBackend;
 pub use table::PotentialTable;
 pub use var::{VarId, Variable};
 

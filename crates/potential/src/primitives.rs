@@ -286,7 +286,7 @@ impl PotentialTable {
         }
         range.validate(self.len())?;
         let src = &other.data()[range.start..range.end];
-        crate::simd::active().div_assign(&mut self.data_mut()[range.start..range.end], src);
+        crate::simd::div_assign(&mut self.data_mut()[range.start..range.end], src);
         Ok(())
     }
 

@@ -27,41 +27,35 @@
 //! functions, so the sequential engines and the partitioned scheduler
 //! execute literally the same arithmetic.
 //!
-//! # Two interchangeable backends
+//! # Walker and planned forms
 //!
 //! Each cross-domain kernel exists in two forms that compute
 //! bit-identical results:
 //!
+//! * the **planned** form, which compiles a [`KernelPlan`] and
+//!   interprets it with slice-wise inner loops — what the public entry
+//!   points (`extend_range_into_raw`, …) and every engine run; and
 //! * the **walker** form (`*_walker`), which derives the index mapping
-//!   on the fly with an [`AxisWalker`] — always compiled, used as the
-//!   differential-testing oracle; and
-//! * the **planned** form, which compiles a [`KernelPlan`]
-//!   (crate::plan::KernelPlan) and interprets it with slice-wise inner
-//!   loops.
+//!   on the fly with an [`AxisWalker`] — a reference implementation,
+//!   kept as the differential-testing oracle of `tests/prop_plans.rs`
+//!   and the `plan` unit suite, called by nothing else.
 //!
-//! The public entry points (`extend_range_into_raw`, …) interpret a
-//! freshly compiled plan by default; building with the `plan-off`
-//! feature routes them back through the walker so both paths can be
-//! exercised by the full test suite. Hot paths (the scheduler) skip
-//! these entry points entirely and interpret *cached* plans.
+//! Hot paths (the scheduler) skip the entry points here entirely and
+//! interpret *cached* plans.
 //!
 //! # Canonical reduction order
 //!
-//! Both backends execute their inner loops through the runtime-
-//! dispatched kernels in [`simd`](crate::simd), and every broadcast
+//! Both forms execute the same inner slice loops, and every broadcast
 //! reduction (a block of scan entries collapsing onto one separator
 //! slot) follows **one fixed reduction-tree order**, defined by
 //! [`sum_canonical`] and [`fold_max_canonical`] below. This is the
-//! determinism contract that lets scalar, SSE2, AVX2 and
-//! `portable-simd` kernels — and the walker and planned paths — produce
-//! bit-identical tables; see the [`simd`](crate::simd) module docs for
-//! the exact lane layout each backend uses to realize it.
+//! determinism contract behind the byte-identical goldens and the
+//! bit-identity of answers across thread counts, shards and query
+//! paths: the order is part of the result, so it must not be tidied.
 
 use crate::index::AxisWalker;
-#[cfg(not(feature = "plan-off"))]
-use crate::plan::KernelPlan;
-use crate::plan::PlanKind;
-use crate::simd::{self, KernelBackend};
+use crate::plan::{KernelPlan, PlanKind};
+use crate::simd;
 use crate::{Domain, EntryRange, PotentialError, Result};
 
 fn check_range(range: EntryRange, len: usize) -> Result<()> {
@@ -94,8 +88,7 @@ fn check_subdomain(sub: &Domain, sup: &Domain) -> Result<()> {
     Ok(())
 }
 
-/// The **canonical sum order**: the scalar reference every kernel
-/// backend must reproduce bit-for-bit.
+/// The **canonical sum order** of every broadcast reduction.
 ///
 /// With `chunks = xs.len() / 4`, lane `j ∈ 0..4` accumulates
 /// `xs[4k + j]` for `k = 0..chunks` left to right; the lanes combine as
@@ -124,8 +117,7 @@ pub fn sum_canonical(xs: &[f64]) -> f64 {
 /// The **canonical max order**: folds `xs` into `init` with the same
 /// 4-lane tree as [`sum_canonical`], using the select
 /// `if x > m { m = x }` everywhere — on ties (`+0.0` vs `-0.0`) and
-/// NaNs the accumulator is kept, exactly the `maxpd` second-operand
-/// rule the intrinsic backends inherit.
+/// NaNs the accumulator is kept.
 pub fn fold_max_canonical(init: f64, xs: &[f64]) -> f64 {
     let mut it = xs.chunks_exact(4);
     let mut acc = init;
@@ -162,23 +154,16 @@ pub fn fold_max_canonical(init: f64, xs: &[f64]) -> f64 {
 }
 
 /// Folds one broadcast block into its destination slot with the
-/// canonical sum order on the given backend. The single-entry fast
-/// path (`δ = 1` plans) is shared here so every backend performs the
-/// identical `+=` (not `+= (0.0 + x)`, which differs for `-0.0`).
+/// canonical sum order. The single-entry fast path (`δ = 1` plans) is
+/// shared here so the walker and planned forms perform the identical
+/// `+=` (not `+= (0.0 + x)`, which differs for `-0.0`).
 #[inline]
-pub fn reduce_add_into(be: KernelBackend, slot: &mut f64, xs: &[f64]) {
+pub(crate) fn reduce_add_into(slot: &mut f64, xs: &[f64]) {
     if let [x] = xs {
         *slot += *x;
     } else {
-        *slot += be.sum(xs);
+        *slot += sum_canonical(xs);
     }
-}
-
-/// Folds one broadcast block into its destination slot with the
-/// canonical max order on the given backend.
-#[inline]
-pub fn reduce_max_into(be: KernelBackend, slot: &mut f64, xs: &[f64]) {
-    *slot = be.fold_max(*slot, xs);
 }
 
 /// **Division** over a destination window: `out[i] =
@@ -208,7 +193,7 @@ pub fn divide_range_into(
     check_window(out, range)?;
     let nm = &num[range.start..range.end];
     let dn = &den[range.start..range.end];
-    simd::active().div_into(nm, dn, out);
+    simd::div_into(nm, dn, out);
     Ok(())
 }
 
@@ -228,13 +213,8 @@ pub fn extend_range_into_raw(
     range: EntryRange,
     out: &mut [f64],
 ) -> Result<()> {
-    #[cfg(not(feature = "plan-off"))]
-    {
-        let plan = KernelPlan::compile(dst_domain, src_domain, range)?;
-        plan.extend_into(src, out)
-    }
-    #[cfg(feature = "plan-off")]
-    extend_range_into_walker(src_domain, src, dst_domain, range, out)
+    let plan = KernelPlan::compile(dst_domain, src_domain, range)?;
+    plan.extend_into(src, out)
 }
 
 /// Walker form of [`extend_range_into_raw`]: same contract, index map
@@ -282,13 +262,8 @@ pub fn multiply_range_into(
     range: EntryRange,
     out: &mut [f64],
 ) -> Result<()> {
-    #[cfg(not(feature = "plan-off"))]
-    {
-        let plan = KernelPlan::compile(dst_domain, src_domain, range)?;
-        plan.multiply_into(src, out)
-    }
-    #[cfg(feature = "plan-off")]
-    multiply_range_into_walker(src_domain, src, dst_domain, range, out)
+    let plan = KernelPlan::compile(dst_domain, src_domain, range)?;
+    plan.multiply_into(src, out)
 }
 
 /// Walker form of [`multiply_range_into`]: same contract, index map
@@ -340,13 +315,8 @@ pub fn marginalize_range_into_raw(
     dst_domain: &Domain,
     dst: &mut [f64],
 ) -> Result<()> {
-    #[cfg(not(feature = "plan-off"))]
-    {
-        let plan = KernelPlan::compile(src_domain, dst_domain, range)?;
-        plan.marginalize_sum_into(src, dst)
-    }
-    #[cfg(feature = "plan-off")]
-    marginalize_range_into_walker(src_domain, src, range, dst_domain, dst)
+    let plan = KernelPlan::compile(src_domain, dst_domain, range)?;
+    plan.marginalize_sum_into(src, dst)
 }
 
 /// Walker form of [`marginalize_range_into_raw`]: same contract, index
@@ -378,7 +348,6 @@ pub fn marginalize_range_into_walker(
     }
     let tstrides = src_domain.strides_in(dst_domain);
     let (block, kind) = crate::plan::uniform_suffix_block(src_domain, &tstrides);
-    let be = simd::active();
     let mut w = AxisWalker::new(src_domain, tstrides);
     let mut pos = range.start;
     while pos < range.end {
@@ -386,8 +355,8 @@ pub fn marginalize_range_into_walker(
         w.seek(src_domain, pos);
         let base = w.target_index();
         match kind {
-            PlanKind::Contig => be.add_assign(&mut dst[base..base + len], &src[pos..pos + len]),
-            PlanKind::Broadcast => reduce_add_into(be, &mut dst[base], &src[pos..pos + len]),
+            PlanKind::Contig => simd::add_assign(&mut dst[base..base + len], &src[pos..pos + len]),
+            PlanKind::Broadcast => reduce_add_into(&mut dst[base], &src[pos..pos + len]),
         }
         pos += len;
     }
@@ -409,13 +378,8 @@ pub fn max_marginalize_range_into_raw(
     dst_domain: &Domain,
     dst: &mut [f64],
 ) -> Result<()> {
-    #[cfg(not(feature = "plan-off"))]
-    {
-        let plan = KernelPlan::compile(src_domain, dst_domain, range)?;
-        plan.marginalize_max_into(src, dst)
-    }
-    #[cfg(feature = "plan-off")]
-    max_marginalize_range_into_walker(src_domain, src, range, dst_domain, dst)
+    let plan = KernelPlan::compile(src_domain, dst_domain, range)?;
+    plan.marginalize_max_into(src, dst)
 }
 
 /// Walker form of [`max_marginalize_range_into_raw`]: same contract,
@@ -442,7 +406,6 @@ pub fn max_marginalize_range_into_walker(
     }
     let tstrides = src_domain.strides_in(dst_domain);
     let (block, kind) = crate::plan::uniform_suffix_block(src_domain, &tstrides);
-    let be = simd::active();
     let mut w = AxisWalker::new(src_domain, tstrides);
     let mut pos = range.start;
     while pos < range.end {
@@ -450,8 +413,10 @@ pub fn max_marginalize_range_into_walker(
         w.seek(src_domain, pos);
         let base = w.target_index();
         match kind {
-            PlanKind::Contig => be.max_assign(&mut dst[base..base + len], &src[pos..pos + len]),
-            PlanKind::Broadcast => reduce_max_into(be, &mut dst[base], &src[pos..pos + len]),
+            PlanKind::Contig => simd::max_assign(&mut dst[base..base + len], &src[pos..pos + len]),
+            PlanKind::Broadcast => {
+                dst[base] = fold_max_canonical(dst[base], &src[pos..pos + len]);
+            }
         }
         pos += len;
     }
@@ -471,7 +436,7 @@ pub fn add_assign_raw(dst: &mut [f64], src: &[f64]) -> Result<()> {
             found: src.len(),
         });
     }
-    simd::active().add_assign(dst, src);
+    simd::add_assign(dst, src);
     Ok(())
 }
 
@@ -488,7 +453,7 @@ pub fn max_assign_raw(dst: &mut [f64], src: &[f64]) -> Result<()> {
             found: src.len(),
         });
     }
-    simd::active().max_assign(dst, src);
+    simd::max_assign(dst, src);
     Ok(())
 }
 
@@ -508,6 +473,70 @@ mod tests {
 
     fn table(spec: &[(u32, usize)], data: Vec<f64>) -> PotentialTable {
         PotentialTable::from_data(dom(spec), data).unwrap()
+    }
+
+    /// Pins the canonical reduction order itself: nothing else
+    /// cross-checks it, and the goldens depend on its bits. The inputs
+    /// make association visible — `1e16 + 1.0` rounds back to `1e16`,
+    /// and `x > acc` keeps the accumulator on a `+0.0`/`-0.0` tie.
+    #[test]
+    fn canonical_order_is_the_four_lane_tree() {
+        for n in (0..=9).chain([37]) {
+            let chunks = n / 4;
+            let tail = [3.0, 5.0, 7.0];
+            let xs: Vec<f64> = (0..n)
+                .map(|i| match (i < 4 * chunks, i % 4) {
+                    (false, j) => tail[j],
+                    (true, 0) => 1e16,
+                    (true, 2) => -1e16,
+                    (true, _) => 1.0,
+                })
+                .collect();
+            let lane = |j: usize| (0..chunks).fold(0.0, |a, k| a + xs[4 * k + j]);
+            let mut want = 0.0;
+            if chunks > 0 {
+                want = (lane(0) + lane(2)) + (lane(1) + lane(3));
+            }
+            for &x in &xs[4 * chunks..] {
+                want += x;
+            }
+            let tail_sum: f64 = tail[..n % 4].iter().sum();
+            assert_eq!(want, (2 * chunks) as f64 + tail_sum, "n={n}");
+            assert_eq!(sum_canonical(&xs).to_bits(), want.to_bits(), "n={n}");
+            let left_to_right = xs.iter().fold(0.0, |a, &x| a + x);
+            assert_eq!(sum_canonical(&xs) != left_to_right, chunks > 0, "n={n}");
+
+            // max: the second operand survives a tie
+            let sel = |a: f64, b: f64| if a > b { a } else { b };
+            let zs: Vec<f64> = (0..n)
+                .map(|i| {
+                    if i < 4 * chunks && i % 4 == 0 {
+                        0.0
+                    } else {
+                        -0.0
+                    }
+                })
+                .collect();
+            let lane = |j: usize| (1..chunks).fold(zs[j], |m, k| sel(zs[4 * k + j], m));
+            let mut want = -1.0;
+            if chunks > 0 {
+                want = sel(sel(sel(lane(0), lane(2)), sel(lane(1), lane(3))), want);
+            }
+            for &x in &zs[4 * chunks..] {
+                want = sel(x, want);
+            }
+            let got = fold_max_canonical(-1.0, &zs);
+            assert_eq!(got.to_bits(), want.to_bits(), "n={n}");
+            if n > 0 {
+                assert_eq!(got.to_bits(), (-0.0f64).to_bits(), "n={n}");
+            }
+            let left_to_right = zs.iter().fold(-1.0, |a, &x| sel(x, a));
+            assert_eq!(
+                got.to_bits() != left_to_right.to_bits(),
+                chunks > 0,
+                "n={n}"
+            );
+        }
     }
 
     #[test]

@@ -51,14 +51,11 @@
 //!     "shards": [{"shard": 0, "served": 6, "errors": 0, "batches": 4,
 //!       "busy_us": 410, "idle_us": 52007, "mean_latency_us": 120,
 //!       "p50_us": 131, "p95_us": 262, "p99_us": 262,
-//!       "arenas_allocated": 1}],
-//!     "kernel_backend": "avx2"}}
+//!       "arenas_allocated": 1}]}}
 //!   ```
 //!
-//!   `kernel_backend` names the SIMD kernel backend answering queries
-//!   (`scalar`, `sse2`, `avx2`, or `portable`); all backends compute
-//!   bit-identical tables. A `plan_cache` object with the kernel-plan
-//!   cache counters follows when the served model compiles plans.
+//!   A `plan_cache` object with the kernel-plan cache counters follows
+//!   when the served model compiles plans.
 //!
 //! * `{"cmd": "trace"}` — summaries of the most recently completed
 //!   queries (oldest first, at most 64), each with its queue/exec
@@ -772,14 +769,43 @@ fn query_from_json(v: &Json, names: &dyn ModelNames) -> Result<Query, String> {
             let ws: Vec<f64> = items
                 .iter()
                 .map(|w| match w {
-                    Json::Num(x) if *x >= 0.0 => Ok(*x),
+                    Json::Num(x) => Ok(*x),
                     other => Err(format!("bad likelihood weight: {other:?}")),
                 })
                 .collect::<Result<_, _>>()?;
+            check_likelihood_weights(var_name, &ws)?;
             evidence.observe_likelihood(var, ws);
         }
     }
     Ok(Query::new(target, evidence))
+}
+
+/// Checks one soft-evidence vector where it enters the program (the
+/// wire's `"likelihood"` field, the CLI's `--likelihood`): every weight
+/// must be finite and non-negative and at least one positive. `1e999`
+/// parses to `+inf` and `[0, 0]` zeroes the clique; unchecked, both
+/// surface only later, as NaN marginals or `ImpossibleEvidence`.
+///
+/// # Errors
+///
+/// A deterministic message naming the variable and the offending
+/// weight.
+pub fn check_likelihood_weights(var_name: &str, weights: &[f64]) -> Result<(), String> {
+    if let Some((i, w)) = weights
+        .iter()
+        .enumerate()
+        .find(|(_, w)| !(w.is_finite() && **w >= 0.0))
+    {
+        return Err(format!(
+            "likelihood of '{var_name}': weight {i} is {w}, must be finite and >= 0"
+        ));
+    }
+    if weights.iter().all(|&w| w == 0.0) {
+        return Err(format!(
+            "likelihood of '{var_name}' is all zero: it rules out every state"
+        ));
+    }
+    Ok(())
 }
 
 // ----------------------------------------------------------- responses
@@ -970,9 +996,6 @@ fn micros(d: std::time::Duration) -> u64 {
 /// line (schema in the [module docs](self)). The kernel-plan cache
 /// counters are appended as a `"plan_cache"` object only when the
 /// snapshot carries them ([`RuntimeStats::plan_cache`] is `Some`).
-/// The `"kernel_backend"` field names the SIMD backend answering
-/// queries; every backend is bit-identical, so the field is purely
-/// observability.
 pub fn format_stats(stats: &RuntimeStats) -> String {
     let mut out = format!(
         "{{\"stats\":{{\"served\":{},\"errors\":{},\"queue_depth\":{},\
@@ -1010,7 +1033,6 @@ pub fn format_stats(stats: &RuntimeStats) -> String {
         ));
     }
     out.push(']');
-    out.push_str(&format!(",\"kernel_backend\":\"{}\"", stats.kernel_backend));
     if let Some(p) = stats.plan_cache {
         out.push_str(&format!(
             ",\"plan_cache\":{{\"hits\":{},\"misses\":{},\"interned\":{}}}",
@@ -1125,6 +1147,24 @@ mod tests {
             parse_request(r#"{"target": "v1", "likelihood": {"v2": [0.5]}}"#, &names).is_err(),
             "wrong weight count must be rejected"
         );
+        for (weights, why) in [
+            ("[0.5, -0.1]", "weight 1 is -0.1, must be finite and >= 0"),
+            ("[1e999, 1]", "weight 0 is inf, must be finite and >= 0"),
+            ("[0, 0]", "is all zero"),
+            ("[-0.0, 0]", "is all zero"),
+        ] {
+            let line = format!(r#"{{"target": "v1", "likelihood": {{"v2": {weights}}}}}"#);
+            let e = parse_request(&line, &names).unwrap_err();
+            assert!(
+                e.starts_with("likelihood of 'v2'") && e.contains(why),
+                "{e}"
+            );
+        }
+        parse_request(
+            r#"{"target": "v1", "likelihood": {"v2": [0, 0.5]}}"#,
+            &names,
+        )
+        .unwrap();
         assert!(parse_request(r#"{"target": "v1"} trailing"#, &names).is_err());
     }
 
@@ -1219,7 +1259,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_line_carries_kernel_backend() {
+    fn stats_line_parses_without_kernel_backend() {
         let stats = RuntimeStats {
             shards: vec![],
             served: 3,
@@ -1232,7 +1272,6 @@ mod tests {
             p99: std::time::Duration::from_micros(9),
             uptime: std::time::Duration::from_millis(1),
             plan_cache: None,
-            kernel_backend: "scalar",
             sessions: None,
             registry: None,
             faults: None,
@@ -1240,7 +1279,7 @@ mod tests {
         let line = format_stats(&stats);
         let v = parse_json(&line).unwrap();
         let s = v.get("stats").expect("stats object");
-        assert_eq!(s.get("kernel_backend"), Some(&Json::Str("scalar".into())));
+        assert_eq!(s.get("kernel_backend"), None, "one kernel: nothing to name");
         assert_eq!(s.get("served"), Some(&Json::Num(3.0)));
         assert_eq!(s.get("plan_cache"), None);
         assert!(!line.contains("faults"), "absent until a counter moves");
@@ -1261,7 +1300,6 @@ mod tests {
             p99: std::time::Duration::ZERO,
             uptime: std::time::Duration::ZERO,
             plan_cache: None,
-            kernel_backend: "scalar",
             sessions: None,
             registry: None,
             faults: None,
@@ -1543,7 +1581,6 @@ mod tests {
             p99: std::time::Duration::ZERO,
             uptime: std::time::Duration::ZERO,
             plan_cache: None,
-            kernel_backend: "scalar",
             sessions: None,
             registry: None,
             faults: None,

@@ -111,7 +111,6 @@ pub fn analyze(trace: &Trace) -> TimelineAnalysis {
                 SpanKind::Partition { .. }
                 | SpanKind::ArenaCheckout { .. }
                 | SpanKind::PlanCache { .. }
-                | SpanKind::KernelBackend { .. }
                 | SpanKind::Faults { .. } => {}
             }
         }

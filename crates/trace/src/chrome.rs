@@ -28,7 +28,6 @@ fn event_name(kind: &SpanKind) -> &'static str {
         SpanKind::Job { .. } => "job",
         SpanKind::Query { .. } => "query",
         SpanKind::PlanCache { .. } => "plan-cache",
-        SpanKind::KernelBackend { .. } => "kernel-backend",
         SpanKind::Faults { .. } => "faults",
     }
 }
@@ -62,7 +61,6 @@ fn push_args(out: &mut String, e: &TraceEvent) {
             out,
             "\"hits\":{hits},\"misses\":{misses},\"interned\":{interned},"
         ),
-        SpanKind::KernelBackend { backend } => write!(out, "\"backend\":\"{backend}\","),
         SpanKind::Faults {
             shed,
             cancelled,
