@@ -5,7 +5,7 @@
 //! evprop query <file.bif> --target VAR [--evidence VAR=STATE]... [--engine E] [--threads N]
 //! evprop mpe <file.bif> [--evidence VAR=STATE]... [--engine E] [--threads N]
 //! evprop export <sprinkler|asia|student>
-//! evprop serve <file.bif> --queries N [--threads P] [--seed S] [--spawn-per-query]
+//! evprop serve <file.bif> --queries N [--threads P] [--seed S]
 //! evprop serve <file.bif> --listen ADDR [--shards K] [--threads-per-shard M] [--model NAME=PATH]... [--model-budget-mb MB]
 //! evprop session-bench <file.bif> [--steps N] [--threads P] [--seed S]
 //! evprop simulate --cliques N --width W --states R --degree K [--cores P]...
@@ -14,8 +14,7 @@
 use evprop_bayesnet::bif::{self, BifNetwork};
 use evprop_bayesnet::networks;
 use evprop_core::{
-    CollaborativeEngine, DataParallelEngine, Engine, InferenceSession, OpenMpStyleEngine,
-    PooledEngine, Query, QueryBatch, SequentialEngine,
+    CollaborativeEngine, Engine, InferenceSession, Query, QueryBatch, SequentialEngine,
 };
 use evprop_jtree::{critical_path_weight, select_root};
 use evprop_potential::EvidenceSet;
@@ -26,18 +25,19 @@ use std::process::ExitCode;
 
 const USAGE: &str = "usage:
   evprop info <file.bif>
-  evprop query <file.bif> --target VAR [--evidence VAR=STATE]... [--likelihood VAR=w:w...]... [--engine seq|collab|pooled|openmp|dp] [--threads N]
-  evprop mpe <file.bif> [--evidence VAR=STATE]... [--engine seq|collab|pooled|openmp|dp] [--threads N]
+  evprop query <file.bif> --target VAR [--evidence VAR=STATE]... [--likelihood VAR=w:w...]... [--engine seq|collab] [--threads N]
+  evprop mpe <file.bif> [--evidence VAR=STATE]... [--engine seq|collab] [--threads N]
   evprop export <sprinkler|asia|student>
   evprop dot <file.bif> [--tasks]
-  evprop serve <file.bif> --queries N [--threads P] [--seed S] [--spawn-per-query]
+  evprop serve <file.bif> --queries N [--threads P] [--seed S]
   evprop serve <file.bif> --listen ADDR [--shards K] [--threads-per-shard M] [--queue-depth D] [--batch B] [--model NAME=PATH]... [--model-budget-mb MB]
-      [--drain-timeout-ms MS] [--max-conns N] [--max-line-bytes B] [--idle-timeout-ms MS]
+      [--no-partitioning] [--drain-timeout-ms MS] [--max-conns N] [--max-line-bytes B] [--idle-timeout-ms MS]
   evprop session-bench <file.bif> [--steps N] [--threads P] [--seed S]
-  evprop trace <file.bif> [--out FILE] [--threads P] [--delta D] [--runs N] [--stealing]
+  evprop trace <file.bif> [--out FILE] [--threads P] [--delta D | --no-partitioning] [--runs N]
   evprop trace --random [--cliques N] [--width W] [--states R] [--degree K] [--seed S] [--out FILE] ...
   evprop trace-validate <trace.json>
-  evprop simulate --cliques N --width W --states R --degree K [--cores P]... [--policy collab|openmp|dp|pnl] [--gantt]";
+  evprop simulate --cliques N --width W --states R --degree K [--cores P]... [--policy collab|openmp|dp|pnl] [--gantt]
+  evprop --help";
 
 fn main() -> ExitCode {
     // Exit quietly when stdout is closed early (`evprop query … | head`):
@@ -156,19 +156,32 @@ fn flag_values<'a>(args: &'a [String], name: &str) -> Vec<&'a str> {
         .collect()
 }
 
+/// All values of a repeatable count flag. Each must be a positive
+/// integer: these flags size pools, index per-worker vectors and chunk
+/// tables, so 0 is a usage error here rather than a panic downstream.
+fn positive_flags(args: &[String], name: &str) -> Result<Vec<usize>, String> {
+    flag_values(args, name)
+        .into_iter()
+        .map(|v| match v.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("{name} needs a positive integer, got '{v}'")),
+        })
+        .collect()
+}
+
+/// `--threads P`, defaulting to the host's parallelism.
+fn threads_flag(args: &[String]) -> Result<usize, String> {
+    Ok(positive_flags(args, "--threads")?
+        .first()
+        .copied()
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())))
+}
+
 fn make_engine(args: &[String]) -> Result<Box<dyn Engine>, String> {
-    let threads = match flag_value(args, "--threads") {
-        Some(t) => t
-            .parse::<usize>()
-            .map_err(|_| format!("bad thread count '{t}'"))?,
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
+    let threads = threads_flag(args)?;
     Ok(match flag_value(args, "--engine").unwrap_or("collab") {
         "seq" | "sequential" => Box::new(SequentialEngine),
         "collab" | "collaborative" => Box::new(CollaborativeEngine::with_threads(threads)),
-        "pooled" => Box::new(PooledEngine::with_threads(threads)),
-        "openmp" => Box::new(OpenMpStyleEngine::new(threads)),
-        "dp" | "data-parallel" => Box::new(DataParallelEngine::new(threads)),
         other => return Err(format!("unknown engine '{other}'")),
     })
 }
@@ -312,10 +325,8 @@ fn random_queries(net: &evprop_bayesnet::BayesianNetwork, n: usize, seed: u64) -
 }
 
 /// Serve-style batch inference: compile the network once, then answer a
-/// stream of randomized queries. The default path holds the session's
-/// resident [`PooledEngine`]; `--spawn-per-query` runs the same stream
-/// on a [`CollaborativeEngine`] that spawns and joins its worker
-/// threads for every query — the baseline the pool exists to beat.
+/// stream of randomized queries on the session's resident
+/// [`CollaborativeEngine`].
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("serve needs a file".to_string())?;
     let bif = load(path)?;
@@ -328,52 +339,32 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             .map_err(|_| format!("bad query count '{v}'"))?,
         None => 200,
     };
-    let threads = match flag_value(args, "--threads") {
-        Some(t) => t
-            .parse::<usize>()
-            .map_err(|_| format!("bad thread count '{t}'"))?,
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
+    let threads = threads_flag(args)?;
     let seed = match flag_value(args, "--seed") {
         Some(s) => s.parse::<u64>().map_err(|_| format!("bad seed '{s}'"))?,
         None => 0xC0FFEE,
     };
-    let spawn_per_query = args.iter().any(|a| a == "--spawn-per-query");
 
     let session = InferenceSession::from_network(&bif.network).map_err(|e| e.to_string())?;
     let batch = random_queries(&bif.network, queries, seed);
 
     let start = std::time::Instant::now();
-    let mode = if spawn_per_query {
-        let engine = CollaborativeEngine::with_threads(threads);
-        for q in &batch {
-            session
-                .posterior(&engine, q.target, &q.evidence)
-                .map_err(|e| e.to_string())?;
-        }
-        "spawn-per-query"
-    } else {
-        session.pooled_engine_with(evprop_sched::SchedulerConfig::with_threads(threads));
-        session.posterior_batch(&batch).map_err(|e| e.to_string())?;
-        "pooled"
-    };
+    let engine = session.pooled_engine_with(evprop_sched::SchedulerConfig::with_threads(threads));
+    session.posterior_batch(&batch).map_err(|e| e.to_string())?;
     let elapsed = start.elapsed();
     let qps = batch.len() as f64 / elapsed.as_secs_f64().max(1e-12);
     println!(
-        "served {} queries [{mode}, {threads} threads] in {:.3} s ({:.0} queries/s)",
+        "served {} queries [{threads} threads] in {:.3} s ({:.0} queries/s)",
         batch.len(),
         elapsed.as_secs_f64(),
         qps
     );
-    if !spawn_per_query {
-        if let Some(report) = session.pooled_engine().last_report() {
-            println!(
-                "last job: wall {:?}, {} steals, {} tables allocated",
-                report.wall,
-                report.total_steals(),
-                report.total_tables_allocated()
-            );
-        }
+    if let Some(report) = engine.last_report() {
+        println!(
+            "last job: wall {:?}, {} tables allocated",
+            report.wall,
+            report.total_tables_allocated()
+        );
     }
     Ok(())
 }
@@ -529,12 +520,7 @@ fn cmd_session_bench(args: &[String]) -> Result<(), String> {
             .map_err(|_| format!("bad step count '{v}'"))?,
         None => 200,
     };
-    let threads = match flag_value(args, "--threads") {
-        Some(t) => t
-            .parse::<usize>()
-            .map_err(|_| format!("bad thread count '{t}'"))?,
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
+    let threads = threads_flag(args)?;
     let seed = match flag_value(args, "--seed") {
         Some(s) => s.parse::<u64>().map_err(|_| format!("bad seed '{s}'"))?,
         None => 0xC0FFEE,
@@ -670,28 +656,22 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         (jt, graph, bif.name.clone())
     };
 
-    let threads = match flag_value(args, "--threads") {
-        Some(t) => t
-            .parse::<usize>()
-            .map_err(|_| format!("bad thread count '{t}'"))?,
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
+    let threads = threads_flag(args)?;
     let runs = get("--runs", 4)?.max(1);
     let mut cfg = evprop_sched::SchedulerConfig::with_threads(threads);
-    if let Some(d) = flag_value(args, "--delta") {
-        cfg.partition_threshold = Some(d.parse().map_err(|_| format!("bad --delta '{d}'"))?);
+    if let Some(&d) = positive_flags(args, "--delta")?.first() {
+        cfg = cfg.with_delta(d);
     }
     if args.iter().any(|a| a == "--no-partitioning") {
-        cfg.partition_threshold = None;
+        cfg = cfg.without_partitioning();
     }
-    cfg.work_stealing = args.iter().any(|a| a == "--stealing");
 
-    let engine = PooledEngine::new(cfg);
-    // Ring capacity: every task yields at most a fetch/steal, a
-    // partition, and its subtask spans; pad generously so nothing drops.
+    let engine = CollaborativeEngine::new(cfg);
+    // Ring capacity: every task yields at most a fetch, a partition,
+    // and its subtask spans; pad generously so nothing drops.
     let capacity = graph.num_tasks() * 8 * runs + 4096;
     let sink = Arc::new(TraceSink::for_workers(threads, capacity));
-    engine.attach_trace(Some(Arc::clone(&sink)));
+    engine.attach_trace(Some(Arc::clone(&sink)), 0);
 
     let ev = EvidenceSet::new();
     let mut stats_busy = vec![Duration::ZERO; threads];
@@ -721,16 +701,15 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         trace.total_events(),
         trace.total_dropped()
     );
-    println!("thread   busy(us)   idle(us)  tasks  steals      weight");
+    println!("thread   busy(us)   idle(us)  tasks      weight");
     let mut max_dev = 0.0f64;
     for t in a.threads.iter().take(threads) {
         println!(
-            "{:>6} {:>10} {:>10} {:>6} {:>7} {:>11}",
+            "{:>6} {:>10} {:>10} {:>6} {:>11}",
             t.thread,
             t.busy_ns / 1_000,
             t.idle_ns / 1_000,
             t.tasks,
-            t.steals,
             t.weight
         );
         let stat_ns = stats_busy[t.thread].as_nanos() as f64;
@@ -839,20 +818,10 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         "pnl" => Policy::PnlStyle,
         other => return Err(format!("unknown policy '{other}'")),
     };
-    let cores: Vec<usize> = {
-        let picked: Vec<usize> = args
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| *a == "--cores")
-            .filter_map(|(i, _)| args.get(i + 1))
-            .filter_map(|v| v.parse().ok())
-            .collect();
-        if picked.is_empty() {
-            vec![1, 2, 4, 8]
-        } else {
-            picked
-        }
-    };
+    let mut cores = positive_flags(args, "--cores")?;
+    if cores.is_empty() {
+        cores = vec![1, 2, 4, 8];
+    }
 
     let shape = random_tree(&TreeParams::new(n, w, r, k).with_seed(0xF9));
     let g = TaskGraph::from_shape(&shape);
@@ -1005,18 +974,9 @@ mod tests {
     }
 
     #[test]
-    fn serve_runs_pooled_and_spawned() {
+    fn serve_runs() {
         let f = asia_file();
         cmd_serve(&s(&[&f, "--queries", "8", "--threads", "2", "--seed", "7"])).unwrap();
-        cmd_serve(&s(&[
-            &f,
-            "--queries",
-            "4",
-            "--threads",
-            "2",
-            "--spawn-per-query",
-        ]))
-        .unwrap();
         assert!(cmd_serve(&s(&[])).is_err());
         assert!(cmd_serve(&s(&[&f, "--queries", "x"])).is_err());
     }
@@ -1074,6 +1034,73 @@ mod tests {
         .unwrap();
         cmd_simulate(&s(&["--cliques", "16", "--width", "6", "--gantt"])).unwrap();
         assert!(cmd_simulate(&s(&["--policy", "bogus"])).is_err());
+    }
+
+    /// A zero count is a usage error naming the flag — not a panic
+    /// (`trace --threads 0`, `simulate --cores 0`), a dead worker
+    /// (`--delta 0` reaches `EntryRange::split`) or a run on one thread
+    /// reported as a run on zero.
+    #[test]
+    fn zero_count_flags_are_usage_errors() {
+        let f = asia_file();
+        let rejects = |r: Result<(), String>, flag: &str| {
+            let e = r.unwrap_err();
+            assert!(e.starts_with(flag) && e.contains("positive integer"), "{e}");
+        };
+        rejects(cmd_trace(&s(&[&f, "--threads", "0"])), "--threads");
+        rejects(
+            cmd_trace(&s(&[&f, "--threads", "1", "--delta", "0"])),
+            "--delta",
+        );
+        rejects(
+            cmd_serve(&s(&[&f, "--queries", "2", "--threads", "0"])),
+            "--threads",
+        );
+        rejects(
+            cmd_session_bench(&s(&[&f, "--steps", "2", "--threads", "0"])),
+            "--threads",
+        );
+        rejects(
+            cmd_simulate(&s(&["--cliques", "8", "--width", "4", "--cores", "0"])),
+            "--cores",
+        );
+        rejects(
+            cmd_query(&s(&[&f, "--target", "v3", "--threads", "x"])),
+            "--threads",
+        );
+    }
+
+    /// Every `"--flag"` literal the parser matches is documented in the
+    /// usage text.
+    #[test]
+    fn every_parsed_flag_is_in_usage() {
+        let parser = include_str!("main.rs")
+            .split("#[cfg(test)]")
+            .next()
+            .unwrap()
+            .replace(USAGE, "");
+        let mut flags: Vec<&str> = parser
+            .split('"')
+            .filter(|lit| {
+                lit.len() > 2
+                    && lit.starts_with("--")
+                    && lit[2..]
+                        .bytes()
+                        .all(|b| b.is_ascii_lowercase() || b == b'-')
+            })
+            .collect();
+        flags.sort_unstable();
+        flags.dedup();
+        assert!(flags.len() > 20, "scan found only {flags:?}");
+        for flag in flags {
+            let documented = USAGE
+                .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                .any(|word| word == flag);
+            assert!(
+                documented,
+                "{flag} is parsed but missing from the usage text"
+            );
+        }
     }
 
     #[test]

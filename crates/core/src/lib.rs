@@ -8,20 +8,18 @@
 //!    critical path, 3. build the task dependency graph, 4. propagate
 //!    evidence with an [`Engine`]:
 //!
-//! * [`SequentialEngine`] — the Hugin two-phase reference;
+//! * [`SequentialEngine`] — the Hugin two-phase reference, and the
+//!   oracle every other path is tested against;
 //! * [`CollaborativeEngine`] — the paper's contribution: decentralized
 //!   scheduling with per-thread ready lists and δ-partitioning of large
-//!   tasks;
-//! * [`OpenMpStyleEngine`] — baseline 1: persistent thread pool, each
-//!   primitive's loop split across threads behind a barrier (what
-//!   mechanically adding `#pragma omp parallel for` to the sequential
-//!   code does);
-//! * [`DataParallelEngine`] — baseline 2: fresh threads spawned for
-//!   every primitive;
-//! * [`PooledEngine`] — the serving variant of the collaborative
-//!   engine: worker threads spawned once, table arenas recycled, so a
-//!   steady-state query pays only for propagation (compile once,
-//!   serve many — see [`InferenceSession::posterior_batch`]).
+//!   tasks. It is [`ShardState`] under the paper's name: worker threads
+//!   spawned once, table arenas recycled, so a steady-state query pays
+//!   only for propagation (compile once, serve many — see
+//!   [`InferenceSession::posterior_batch`]).
+//!
+//! The paper's OpenMP-style and data-parallel baselines and its
+//! work-stealing ablation are simulator policies (`evprop-simcore`),
+//! which is where every Fig. 5–9 series comes from.
 //!
 //! # Example
 //!
@@ -45,32 +43,26 @@
 
 mod calibrated;
 mod calibrated_state;
-mod collaborative;
-mod dataparallel;
 mod engine;
 mod error;
 mod model;
 mod mpe;
-mod openmp;
-mod par_exec;
-mod pooled;
 mod sequential;
 mod session;
 mod shard;
 
 pub use calibrated::Calibrated;
 pub use calibrated_state::CalibratedState;
-pub use collaborative::CollaborativeEngine;
-pub use dataparallel::DataParallelEngine;
 pub use engine::Engine;
 pub use error::EngineError;
 pub use model::CompiledModel;
 pub use mpe::{decode_mpe, MostProbableExplanation};
-pub use openmp::OpenMpStyleEngine;
-pub use pooled::PooledEngine;
 pub use sequential::SequentialEngine;
 pub use session::{InferenceSession, Query, QueryBatch};
 pub use shard::ShardState;
+
+/// The paper's engine (§6) by the paper's name.
+pub type CollaborativeEngine = ShardState;
 
 /// Result alias used throughout this crate.
 pub type Result<T> = std::result::Result<T, EngineError>;

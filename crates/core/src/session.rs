@@ -1,6 +1,6 @@
 //! End-to-end inference sessions: compile once, query many times.
 
-use crate::{Calibrated, CompiledModel, Engine, PooledEngine, Result};
+use crate::{Calibrated, CollaborativeEngine, CompiledModel, Engine, Result};
 use evprop_bayesnet::BayesianNetwork;
 use evprop_jtree::{JunctionTree, RootChoice};
 use evprop_potential::{EvidenceSet, PotentialTable, VarId};
@@ -49,7 +49,7 @@ pub type QueryBatch = Vec<Query>;
 pub struct InferenceSession {
     model: Arc<CompiledModel>,
     /// Resident serving engine, spawned on first pooled query.
-    pooled: OnceLock<PooledEngine>,
+    pooled: OnceLock<CollaborativeEngine>,
 }
 
 impl InferenceSession {
@@ -140,16 +140,16 @@ impl InferenceSession {
     /// default [`SchedulerConfig`] on first use. To pick the
     /// configuration, call [`InferenceSession::pooled_engine_with`]
     /// before the first pooled query.
-    pub fn pooled_engine(&self) -> &PooledEngine {
+    pub fn pooled_engine(&self) -> &CollaborativeEngine {
         self.pooled
-            .get_or_init(|| PooledEngine::new(SchedulerConfig::default()))
+            .get_or_init(|| CollaborativeEngine::new(SchedulerConfig::default()))
     }
 
     /// The resident serving engine, created with `config` if none
     /// exists yet. The first creation wins: if the pool is already
     /// running, the existing engine is returned and `config` ignored.
-    pub fn pooled_engine_with(&self, config: SchedulerConfig) -> &PooledEngine {
-        self.pooled.get_or_init(|| PooledEngine::new(config))
+    pub fn pooled_engine_with(&self, config: SchedulerConfig) -> &CollaborativeEngine {
+        self.pooled.get_or_init(|| CollaborativeEngine::new(config))
     }
 
     /// Posterior marginal of one variable on the resident pool: the
@@ -158,7 +158,7 @@ impl InferenceSession {
     ///
     /// # Errors
     ///
-    /// See [`PooledEngine::posterior`].
+    /// See [`CollaborativeEngine::posterior`].
     pub fn posterior_pooled(&self, var: VarId, evidence: &EvidenceSet) -> Result<PotentialTable> {
         self.pooled_engine()
             .posterior(self.junction_tree(), self.task_graph(), var, evidence)
@@ -170,7 +170,7 @@ impl InferenceSession {
     ///
     /// # Errors
     ///
-    /// See [`PooledEngine::posterior_batch`].
+    /// See [`CollaborativeEngine::posterior_batch`].
     pub fn posterior_batch(&self, batch: &[Query]) -> Result<Vec<PotentialTable>> {
         self.pooled_engine()
             .posterior_batch(self.junction_tree(), self.task_graph(), batch)

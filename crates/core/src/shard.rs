@@ -1,15 +1,15 @@
-//! The reusable core of a serving shard: one resident worker pool plus
-//! a cache of recycled table arenas.
+//! The one parallel executor: a resident worker pool running the
+//! paper's collaborative scheduler, plus a cache of recycled table
+//! arenas.
 //!
-//! [`ShardState`] is the engine-agnostic building block that both
-//! [`PooledEngine`](crate::PooledEngine) (one shard behind the
-//! [`Engine`](crate::Engine) trait) and the `evprop-serve` sharded
-//! runtime (N shards, each owning one `ShardState`) are built from.
-//! The serialized-jobs arena invariant holds *per shard*: a shard's
-//! pool runs one job at a time, so its arenas are never aliased across
+//! [`ShardState`] is the paper's engine behind the [`Engine`] trait
+//! (as [`CollaborativeEngine`](crate::CollaborativeEngine)) and the
+//! unit the `evprop-serve` sharded runtime runs N of side by side. The
+//! serialized-jobs arena invariant holds *per shard*: a shard's pool
+//! runs one job at a time, so its arenas are never aliased across
 //! concurrent jobs.
 
-use crate::{Calibrated, EngineError, Result};
+use crate::{Calibrated, Engine, EngineError, Result};
 use evprop_jtree::{CliqueId, JunctionTree};
 use evprop_potential::{EvidenceSet, PotentialTable, VarId};
 use evprop_sched::{CancelToken, CollabPool, JobError, RunReport, SchedulerConfig, TableArena};
@@ -22,13 +22,36 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// max-product, the occasional collect-only graph) is plenty.
 const MAX_CACHED_ARENAS: usize = 4;
 
-/// One serving shard: a resident [`CollabPool`] and recycled
-/// [`TableArena`]s, answering queries with zero steady-state table
-/// allocation.
+/// The proposed method (§6) as a resident engine: `P` worker threads
+/// with local ready lists, least-loaded allocation and δ-partitioning
+/// of large tasks (a [`CollabPool`]), spawned **once**, over recycled
+/// [`TableArena`]s — the steady-state cost of a query is the
+/// propagation itself, with no thread spawn and no table allocation.
 ///
 /// All methods take `&self`; concurrent callers are serialized on the
 /// pool's submission lock, which is exactly the invariant the arena's
-/// `unsafe impl Sync` relies on.
+/// `unsafe impl Sync` relies on. The report of the most recent job
+/// (per-thread computation time and scheduling overhead — Fig. 8's
+/// measurements) is kept for [`ShardState::last_report`].
+///
+/// # Example
+///
+/// ```
+/// use evprop_bayesnet::networks;
+/// use evprop_core::{CollaborativeEngine, Engine};
+/// use evprop_potential::{EvidenceSet, VarId};
+/// use evprop_jtree::JunctionTree;
+///
+/// let jt = JunctionTree::from_network(&networks::asia())?;
+/// let engine = CollaborativeEngine::with_threads(2);
+/// for state in 0..2 {
+///     let mut ev = EvidenceSet::new();
+///     ev.observe(VarId(7), state);
+///     let calibrated = engine.propagate(&jt, &ev)?;
+///     assert!((calibrated.marginal(VarId(3))?.sum() - 1.0).abs() < 1e-9);
+/// }
+/// # Ok::<(), evprop_core::EngineError>(())
+/// ```
 pub struct ShardState {
     pool: CollabPool,
     config: SchedulerConfig,
@@ -421,12 +444,55 @@ impl ShardState {
     }
 }
 
+impl Engine for ShardState {
+    fn name(&self) -> &'static str {
+        "collaborative"
+    }
+
+    fn propagate_graph(
+        &self,
+        jt: &JunctionTree,
+        graph: &TaskGraph,
+        evidence: &EvidenceSet,
+    ) -> Result<Calibrated> {
+        self.calibrate(jt, graph, evidence)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
     use crate::{Query, SequentialEngine};
     use evprop_bayesnet::networks;
+
+    #[test]
+    fn agrees_with_sequential_across_thread_counts() {
+        let net = networks::asia();
+        let jt = JunctionTree::from_network(&net).unwrap();
+        let mut ev = EvidenceSet::new();
+        ev.observe(VarId(6), 1);
+        let reference = SequentialEngine.propagate(&jt, &ev).unwrap();
+        for threads in [1, 2, 4] {
+            let engine = ShardState::with_threads(threads);
+            let got = engine.propagate(&jt, &ev).unwrap();
+            assert!(got.max_divergence(&reference) < 1e-9, "threads = {threads}");
+            assert!(engine.last_report().is_some());
+        }
+    }
+
+    #[test]
+    fn partitioning_preserves_results() {
+        let net = networks::asia();
+        let jt = JunctionTree::from_network(&net).unwrap();
+        let reference = SequentialEngine
+            .propagate(&jt, &EvidenceSet::new())
+            .unwrap();
+        let engine = ShardState::new(SchedulerConfig::with_threads(4).with_delta(2));
+        let got = engine.propagate(&jt, &EvidenceSet::new()).unwrap();
+        assert!(got.max_divergence(&reference) < 1e-9);
+        let report = engine.last_report().unwrap();
+        assert!(report.partitioned_tasks > 0);
+    }
 
     #[test]
     fn shard_posterior_bit_identical_to_sequential() {
@@ -513,5 +579,20 @@ mod tests {
             .posterior(&jt, &graph, VarId(3), &EvidenceSet::new())
             .is_ok());
         assert_eq!(shard.arenas_allocated(), 1);
+    }
+
+    #[test]
+    fn unknown_variable_and_impossible_evidence() {
+        let net = networks::asia();
+        let jt = JunctionTree::from_network(&net).unwrap();
+        let graph = TaskGraph::from_shape(jt.shape());
+        let shard = ShardState::with_threads(2);
+        let r = shard.posterior(&jt, &graph, VarId(99), &EvidenceSet::new());
+        assert!(matches!(r, Err(EngineError::VariableNotInTree(_))));
+        let mut ev = EvidenceSet::new();
+        ev.observe(VarId(3), 1);
+        ev.observe(VarId(5), 0); // contradiction
+        let r = shard.posterior(&jt, &graph, VarId(4), &ev);
+        assert!(matches!(r, Err(EngineError::ImpossibleEvidence)));
     }
 }

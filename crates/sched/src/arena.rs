@@ -245,28 +245,6 @@ impl TableArena {
         }
     }
 
-    /// Initializes a **batch** arena for `base.replicate(evidences.len())`:
-    /// copy `i`'s clique buffers absorb `evidences[i]`. See
-    /// [`evprop_taskgraph::TaskGraph::replicate`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on empty `evidences` or the conditions of
-    /// [`TableArena::initialize`].
-    pub fn initialize_batch(
-        base: &TaskGraph,
-        clique_potentials: &[PotentialTable],
-        evidences: &[EvidenceSet],
-    ) -> Self {
-        assert!(!evidences.is_empty(), "need at least one evidence case");
-        let mut cells = Vec::with_capacity(base.buffers().len() * evidences.len());
-        for ev in evidences {
-            let one = TableArena::initialize(base, clique_potentials, ev);
-            cells.extend(one.cells);
-        }
-        TableArena { cells }
-    }
-
     /// Number of buffers.
     pub fn len(&self) -> usize {
         self.cells.len()

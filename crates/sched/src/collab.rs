@@ -10,14 +10,14 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A schedulable unit: a static graph task, or one subtask of a
 /// partitioned task (`part` indexes into the record's range list; the
 /// last part is the combiner that inherits the original successors).
 ///
 /// A `Part` carries its weight (its plan's op count) inline so the
-/// Fetch, Steal and Allocate modules never have to consult the global
+/// Fetch and Allocate modules never have to consult the global
 /// record list just to keep weight counters accurate, and its interned
 /// [`PlanId`] so the executor runs the precompiled index map for its
 /// range instead of recomputing strides (`None` for Divide, which is
@@ -51,8 +51,7 @@ struct Record {
 /// The weight counter is kept consistent with the queue *under the
 /// queue's lock*: every push adds the unit's weight after enqueueing and
 /// every pop subtracts it before releasing the lock, so a unit is never
-/// counted twice (or subtracted twice by a racing thief) no matter how
-/// fetches and steals interleave.
+/// counted twice no matter how fetches and allocations interleave.
 struct LocalList {
     queue: Mutex<VecDeque<Exec>>,
     weight: AtomicU64,
@@ -292,17 +291,6 @@ impl WorkerTracer<'_> {
         }
     }
 
-    fn steal(&self, victim: usize) {
-        if let Some(s) = self.sink {
-            s.recorder(self.row).instant(
-                SpanKind::Steal {
-                    victim: victim as u32,
-                },
-                s.clock().now_ns(),
-            );
-        }
-    }
-
     fn idle_begin(&mut self, at: Instant) {
         if self.sink.is_some() {
             self.idle_since.get_or_insert(at);
@@ -377,7 +365,6 @@ struct WorkerTracer;
 #[cfg(not(feature = "trace"))]
 impl WorkerTracer {
     fn fetch(&self) {}
-    fn steal(&self, _victim: usize) {}
     fn idle_begin(&mut self, _at: Instant) {}
     fn work_resumed(&mut self) {}
     fn partition(&self, _kind: &TaskKind, _parts: usize) {}
@@ -440,32 +427,18 @@ pub(crate) fn worker(sh: &Shared<'_>, id: usize) -> ThreadStats {
             break;
         }
         // Fetch: head of own LL.
-        let e = match pop_front(sh, id) {
-            Some(e) => {
-                sh.lls[id].idle.store(false, Ordering::Relaxed);
-                backoff.reset();
-                tr.work_resumed();
-                tr.fetch();
-                e
-            }
-            None => {
-                if let Some((e, victim)) = sh.cfg.work_stealing.then(|| steal(sh, id)).flatten() {
-                    sh.lls[id].idle.store(false, Ordering::Relaxed);
-                    stats.steals += 1;
-                    backoff.reset();
-                    tr.work_resumed();
-                    tr.steal(victim);
-                    e
-                } else {
-                    sh.lls[id].idle.store(true, Ordering::Relaxed);
-                    let spin_start = Instant::now();
-                    tr.idle_begin(spin_start);
-                    backoff.snooze();
-                    stats.idle_spin += spin_start.elapsed();
-                    continue;
-                }
-            }
+        let Some(e) = pop_front(sh, id) else {
+            sh.lls[id].idle.store(true, Ordering::Relaxed);
+            let spin_start = Instant::now();
+            tr.idle_begin(spin_start);
+            backoff.snooze();
+            stats.idle_spin += spin_start.elapsed();
+            continue;
         };
+        sh.lls[id].idle.store(false, Ordering::Relaxed);
+        backoff.reset();
+        tr.work_resumed();
+        tr.fetch();
         process(sh, id, e, &mut stats, &tr);
     }
     tr.finish();
@@ -482,23 +455,6 @@ fn pop_front(sh: &Shared<'_>, id: usize) -> Option<Exec> {
     ll.weight
         .fetch_sub(exec_weight(sh.graph, e), Ordering::Relaxed);
     Some(e)
-}
-
-/// Work-stealing extension: pop from the tail of the heaviest victim,
-/// returning the unit and the victim's id. The weight is recomputed
-/// from the unit actually popped, under the victim's queue lock —
-/// subtracting a weight read *before* the pop could double-subtract
-/// when a racing fetch drains the same entry.
-fn steal(sh: &Shared<'_>, thief: usize) -> Option<(Exec, usize)> {
-    let victim = (0..sh.lls.len())
-        .filter(|&j| j != thief)
-        .max_by_key(|&j| sh.lls[j].weight.load(Ordering::Relaxed))?;
-    let ll = &sh.lls[victim];
-    let mut q = ll.queue.lock();
-    let e = q.pop_back()?;
-    ll.weight
-        .fetch_sub(exec_weight(sh.graph, e), Ordering::Relaxed);
-    Some((e, victim))
 }
 
 /// A unit's weight without any global lookup: static weights live in the
@@ -834,12 +790,6 @@ unsafe fn exec_full(sh: &Shared<'_>, t: TaskId) {
     }
 }
 
-/// Convenience: total busy time across threads (used by tests).
-#[allow(dead_code)]
-pub(crate) fn total_busy(report: &RunReport) -> Duration {
-    report.threads.iter().map(|t| t.busy).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -864,7 +814,7 @@ mod tests {
         (g, pots)
     }
 
-    fn compare_engines(threads: usize, delta: Option<usize>, stealing: bool) {
+    fn compare_engines(threads: usize, delta: Option<usize>) {
         let (g, pots) = asia_setup();
         let ev = {
             let mut e = EvidenceSet::new();
@@ -877,7 +827,6 @@ mod tests {
 
         let mut cfg = SchedulerConfig::with_threads(threads);
         cfg.partition_threshold = delta;
-        cfg.work_stealing = stealing;
         let par = TableArena::initialize(&g, &pots, &ev);
         let report = run_collaborative(&g, &par, &cfg);
         let par_tables = par.into_tables();
@@ -896,13 +845,13 @@ mod tests {
 
     #[test]
     fn matches_sequential_single_thread() {
-        compare_engines(1, None, false);
+        compare_engines(1, None);
     }
 
     #[test]
     fn matches_sequential_multithreaded() {
         for p in [2, 4, 8] {
-            compare_engines(p, None, false);
+            compare_engines(p, None);
         }
     }
 
@@ -910,13 +859,8 @@ mod tests {
     fn matches_sequential_with_partitioning() {
         // tiny δ forces aggressive partitioning on every table
         for delta in [1, 2, 3, 7] {
-            compare_engines(4, Some(delta), false);
+            compare_engines(4, Some(delta));
         }
-    }
-
-    #[test]
-    fn matches_sequential_with_stealing() {
-        compare_engines(4, Some(2), true);
     }
 
     #[test]
@@ -973,19 +917,17 @@ mod tests {
     }
 
     /// Regression for the weight-accounting races: after a job with
-    /// aggressive partitioning *and* stealing, every LL must be empty
-    /// and every weight counter exactly zero. A double-subtract in
-    /// `steal` (or a fetch/steal race on one entry) leaves a counter
-    /// wrapped or nonzero and fails here.
+    /// aggressive partitioning, every LL must be empty and every weight
+    /// counter exactly zero. A push or pop that touches the counter
+    /// outside the queue lock leaves it wrapped or nonzero and fails
+    /// here.
     #[test]
     fn weights_drain_to_zero_after_run() {
         let (g, pots) = asia_setup();
-        for (threads, delta, stealing) in [(1, None, false), (4, Some(1), true), (8, Some(2), true)]
-        {
+        for (threads, delta) in [(1, None), (4, Some(1)), (8, Some(2))] {
             let arena = TableArena::initialize(&g, &pots, &EvidenceSet::new());
             let mut cfg = SchedulerConfig::with_threads(threads);
             cfg.partition_threshold = delta;
-            cfg.work_stealing = stealing;
             // SAFETY: this test is the arena's only user; workers are
             // joined by the scope before `assert_drained` runs.
             let sh = unsafe { Shared::prepare(&g, &arena, &cfg, threads) };

@@ -10,10 +10,6 @@ pub struct SchedulerConfig {
     /// entries. `None` disables the Partition module (as the paper does
     /// for the Fig. 5 rerooting experiment).
     pub partition_threshold: Option<usize>,
-    /// Enable the work-stealing extension: idle threads pop from the
-    /// *tail* of the heaviest-loaded victim's ready list instead of
-    /// spinning. Off by default — the paper's scheduler does not steal.
-    pub work_stealing: bool,
     /// Fault injection for tests and the robustness harness: the static
     /// task at this index panics when executed, exercising the pool's
     /// panic containment. Hidden because it is not part of the stable
@@ -25,12 +21,11 @@ pub struct SchedulerConfig {
 
 impl SchedulerConfig {
     /// A configuration with `num_threads` workers, partitioning at the
-    /// paper-ish default δ = 4096 entries, no stealing.
+    /// paper-ish default δ = 4096 entries.
     pub fn with_threads(num_threads: usize) -> Self {
         SchedulerConfig {
             num_threads,
             partition_threshold: Some(4096),
-            work_stealing: false,
             poison_task: None,
         }
     }
@@ -47,12 +42,6 @@ impl SchedulerConfig {
         self.partition_threshold = Some(delta);
         self
     }
-
-    /// Enables work stealing (builder-style).
-    pub fn with_stealing(mut self) -> Self {
-        self.work_stealing = true;
-        self
-    }
 }
 
 impl Default for SchedulerConfig {
@@ -67,12 +56,9 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = SchedulerConfig::with_threads(4)
-            .with_delta(128)
-            .with_stealing();
+        let c = SchedulerConfig::with_threads(4).with_delta(128);
         assert_eq!(c.num_threads, 4);
         assert_eq!(c.partition_threshold, Some(128));
-        assert!(c.work_stealing);
         let c = c.without_partitioning();
         assert_eq!(c.partition_threshold, None);
     }

@@ -21,8 +21,12 @@
 //! of dynamic subtasks; per-task dependency degrees are atomics, so
 //! "locking an entry" is a single `fetch_sub`.
 //!
-//! A work-stealing variant (idle threads pop from the *tail* of a
-//! victim's LL) is provided as the ablation the paper's §8 gestures at.
+//! There is one executor: the resident [`CollabPool`], whose workers
+//! run the loop above job after job. [`run_collaborative`] is the same
+//! pool built, used once and dropped. The work-stealing ablation the
+//! paper's §8 gestures at lives in the simulator (`evprop-simcore`'s
+//! collaborative policy), which is where every published figure comes
+//! from.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -33,14 +37,12 @@ mod cancel;
 pub mod chaos;
 mod collab;
 mod config;
-mod generic;
 mod pool;
 
 pub use arena::{ArenaView, RangeView, ReadView, TableArena};
 pub use cancel::CancelToken;
 pub use collab::run_collaborative;
 pub use config::SchedulerConfig;
-pub use generic::{DagBuilder, DagTaskId};
 pub use pool::{CollabPool, JobError, JobPanic};
 // The statistic types live in `evprop-trace` (shared with the serving
 // runtime's metrics and the timeline analyzer); re-exported here so

@@ -13,7 +13,7 @@
 //!   — the oracle comparison is `1e-9` relative. But because the
 //!   combiner folds partials in part order (not arrival order), the
 //!   collaborative result itself must be **bitwise identical across
-//!   thread counts and stealing schedules** for a fixed δ; that is
+//!   thread counts and schedules** for a fixed δ; that is
 //!   asserted exactly.
 
 use evprop_potential::{EvidenceSet, PotentialTable, VarId};
@@ -49,7 +49,6 @@ proptest! {
         degree in 1usize..4,
         delta_idx in 0usize..4,
         max_mode in proptest::bool::ANY,
-        stealing in proptest::bool::ANY,
         observe in proptest::bool::ANY,
     ) {
         let params = TreeParams::new(num_cliques, width, states, degree).with_seed(seed);
@@ -76,7 +75,6 @@ proptest! {
         for &threads in &THREADS {
             let mut cfg = SchedulerConfig::with_threads(threads);
             cfg.partition_threshold = Some(delta);
-            cfg.work_stealing = stealing;
             let arena = TableArena::initialize(&graph, jt.potentials(), &ev);
             run_collaborative(&graph, &arena, &cfg);
             let got = arena.into_tables();

@@ -33,7 +33,6 @@ proptest! {
         threads in 1usize..5,
         delta_small in proptest::bool::ANY,
         max_mode in proptest::bool::ANY,
-        stealing in proptest::bool::ANY,
         observe in proptest::bool::ANY,
     ) {
         let params = TreeParams::new(num_cliques, width, states, degree).with_seed(seed);
@@ -51,7 +50,6 @@ proptest! {
         }
         let mut cfg = SchedulerConfig::with_threads(threads);
         cfg.partition_threshold = Some(if delta_small { 3 } else { 4096 });
-        cfg.work_stealing = stealing;
 
         let pool = CollabPool::new(threads);
 
@@ -72,9 +70,8 @@ proptest! {
         for (i, (a, b)) in plain.iter().zip(&traced).enumerate() {
             prop_assert_eq!(
                 a.data(), b.data(),
-                "buffer {} differs between traced and untraced runs \
-                 (threads {}, stealing {})",
-                i, threads, stealing
+                "buffer {} differs between traced and untraced runs (threads {})",
+                i, threads
             );
         }
 

@@ -4,9 +4,9 @@
 //!
 //! δ = 1 with 8 workers on small tables maximizes scheduler churn —
 //! every task shatters into single-entry subtasks, the ready lists stay
-//! near-empty so stealing fires constantly, and the pool's serve-many
-//! path (`TableArena::reset` between jobs) is exercised on every
-//! iteration. With `debug_assertions` on, every window goes through the
+//! near-empty so every Allocate decision races a Fetch, and the pool's
+//! serve-many path (`TableArena::reset` between jobs) is exercised on
+//! every iteration. With `debug_assertions` on, every window goes through the
 //! arena overlap checker and every job ends with the drained-weights
 //! assertion, so a single scheduling bug anywhere in thousands of
 //! distinct interleavings fails the suite deterministically.
@@ -34,7 +34,6 @@ fn thousands_of_tiny_delta_propagations_match_oracle() {
     let pool = CollabPool::new(8);
     let mut cfg = SchedulerConfig::with_threads(8);
     cfg.partition_threshold = Some(1);
-    cfg.work_stealing = true;
 
     for tree_seed in 0..TREES {
         let params = TreeParams::new(

@@ -137,8 +137,6 @@ pub struct RuntimeConfig {
     pub max_batch: usize,
     /// Partition threshold δ forwarded to each shard's scheduler.
     pub delta: Option<usize>,
-    /// Work-stealing flag forwarded to each shard's scheduler.
-    pub work_stealing: bool,
     /// Max concurrently open incremental sessions; `session-open`
     /// beyond this is rejected with [`ServeError::SessionLimit`].
     pub session_capacity: usize,
@@ -159,7 +157,6 @@ impl RuntimeConfig {
             queue_depth: 64,
             max_batch: 8,
             delta: Some(4096),
-            work_stealing: false,
             session_capacity: 256,
             session_ttl: Duration::from_secs(600),
         }
@@ -203,20 +200,14 @@ impl RuntimeConfig {
 
     /// Sets the partition threshold δ on every shard (builder-style).
     pub fn with_delta(mut self, delta: usize) -> Self {
+        assert!(delta > 0, "partition threshold must be positive");
         self.delta = Some(delta);
-        self
-    }
-
-    /// Enables work stealing on every shard (builder-style).
-    pub fn with_stealing(mut self) -> Self {
-        self.work_stealing = true;
         self
     }
 
     fn scheduler(&self) -> SchedulerConfig {
         let mut cfg = SchedulerConfig::with_threads(self.threads_per_shard);
         cfg.partition_threshold = self.delta;
-        cfg.work_stealing = self.work_stealing;
         cfg
     }
 }
@@ -1174,6 +1165,14 @@ mod tests {
     fn asia_runtime(config: RuntimeConfig) -> ShardedRuntime {
         let session = InferenceSession::from_network(&networks::asia()).unwrap();
         ShardedRuntime::new(session, config)
+    }
+
+    /// Same contract as `SchedulerConfig::with_delta`: δ = 0 would reach
+    /// `EntryRange::split` and kill a worker mid-job.
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_delta_rejected() {
+        let _ = RuntimeConfig::new(1, 1).with_delta(0);
     }
 
     #[test]

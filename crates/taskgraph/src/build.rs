@@ -544,6 +544,9 @@ mod tests {
     fn replicated_graphs_share_plan_ids() {
         let g = TaskGraph::from_shape(&path(3));
         let batch = g.replicate(3);
+        batch.validate().unwrap();
+        assert_eq!(batch.buffers().len(), 3 * g.buffers().len());
+        assert_eq!(batch.total_weight(), 3 * g.total_weight());
         assert_eq!(batch.plans().len(), g.plans().len());
         for copy in 0..3 {
             for (t, orig) in batch.tasks()[copy * g.num_tasks()..(copy + 1) * g.num_tasks()]

@@ -1,5 +1,5 @@
 //! Timeline analysis: turn a raw [`Trace`] into the per-thread
-//! busy/idle/steal breakdowns and load-imbalance score the paper's
+//! busy/idle breakdowns and load-imbalance score the paper's
 //! Fig. 5–8 discussion is phrased in.
 
 use crate::event::SpanKind;
@@ -15,8 +15,6 @@ pub struct ThreadTimeline {
     pub busy_ns: u64,
     /// Nanoseconds inside idle-spin spans.
     pub idle_ns: u64,
-    /// Successful steals recorded.
-    pub steals: u64,
     /// Local fetches recorded.
     pub fetches: u64,
     /// (Sub)tasks executed.
@@ -30,7 +28,7 @@ pub struct ThreadTimeline {
 
 impl ThreadTimeline {
     fn is_worker(&self) -> bool {
-        self.tasks > 0 || self.fetches > 0 || self.steals > 0 || self.idle_ns > 0
+        self.tasks > 0 || self.fetches > 0 || self.idle_ns > 0
     }
 }
 
@@ -104,7 +102,6 @@ pub fn analyze(trace: &Trace) -> TimelineAnalysis {
                     tl.weight += weight;
                 }
                 SpanKind::IdleSpin => tl.idle_ns += e.duration_ns(),
-                SpanKind::Steal { .. } => tl.steals += 1,
                 SpanKind::Fetch => tl.fetches += 1,
                 SpanKind::Job { .. } => jobs += 1,
                 SpanKind::Query { .. } => queries += 1,
@@ -166,8 +163,8 @@ mod tests {
         sink.recorder(0).instant(SpanKind::Fetch, 50);
         sink.recorder(0).span(task(0, 10), 100, 200);
         sink.recorder(0).span(task(1, 20), 200, 400);
-        // worker 1: one stolen task (100 ns busy, weight 10) + idle
-        sink.recorder(1).instant(SpanKind::Steal { victim: 0 }, 90);
+        // worker 1: one task (100 ns busy, weight 10) + idle
+        sink.recorder(1).instant(SpanKind::Fetch, 90);
         sink.recorder(1).span(task(2, 10), 100, 200);
         sink.recorder(1).span(SpanKind::IdleSpin, 200, 500);
         // control: the job
@@ -188,7 +185,7 @@ mod tests {
             (300, 2, 30, 1)
         );
         let t1 = &a.threads[1];
-        assert_eq!((t1.busy_ns, t1.idle_ns, t1.steals), (100, 300, 1));
+        assert_eq!((t1.busy_ns, t1.idle_ns, t1.fetches), (100, 300, 1));
         // weight 30 vs 10: max/mean = 30/20
         assert!((a.imbalance - 1.5).abs() < 1e-12);
         // 400 busy over 600 ns × 2 workers

@@ -22,7 +22,6 @@ fn event_name(kind: &SpanKind) -> &'static str {
         SpanKind::Task { primitive, .. } => primitive.name(),
         SpanKind::Partition { .. } => "partition",
         SpanKind::Fetch => "fetch",
-        SpanKind::Steal { .. } => "steal",
         SpanKind::IdleSpin => "idle",
         SpanKind::ArenaCheckout { .. } => "arena-checkout",
         SpanKind::Job { .. } => "job",
@@ -49,7 +48,6 @@ fn push_args(out: &mut String, e: &TraceEvent) {
         SpanKind::Partition { buffer, parts } => {
             write!(out, "\"buffer\":{buffer},\"parts\":{parts},")
         }
-        SpanKind::Steal { victim } => write!(out, "\"victim\":{victim},"),
         SpanKind::ArenaCheckout { fresh } => write!(out, "\"fresh\":{fresh},"),
         SpanKind::Job { tasks } => write!(out, "\"tasks\":{tasks},"),
         SpanKind::Query { shard } => write!(out, "\"shard\":{shard},"),
@@ -154,8 +152,13 @@ mod tests {
             4_750,
         );
         sink.recorder(0).instant(SpanKind::Fetch, 1_400);
-        sink.recorder(1)
-            .instant(SpanKind::Steal { victim: 0 }, 2_000);
+        sink.recorder(1).instant(
+            SpanKind::Partition {
+                buffer: 3,
+                parts: 4,
+            },
+            2_000,
+        );
         sink.control()
             .span(SpanKind::Job { tasks: 7 }, 1_000, 5_000);
         sink.drain()
@@ -174,8 +177,10 @@ mod tests {
              \"pid\":0,\"tid\":0,\"args\":{\"buffer\":3,\"weight\":128,\"part\":1,\"depth\":0}}"
         ));
         // Instants carry a scope and no dur.
-        assert!(json.contains("\"name\":\"steal\",\"cat\":\"steal\",\"ph\":\"i\",\"s\":\"t\""));
-        assert!(json.contains("\"victim\":0"));
+        assert!(
+            json.contains("\"name\":\"partition\",\"cat\":\"partition\",\"ph\":\"i\",\"s\":\"t\"")
+        );
+        assert!(json.contains("\"parts\":4"));
         // The job span lands on the control row (tid 2).
         assert!(json.contains("\"name\":\"job\",\"cat\":\"job\",\"ph\":\"X\",\"ts\":1.000,\"dur\":4.000,\"pid\":0,\"tid\":2"));
     }

@@ -29,7 +29,7 @@ impl PrimitiveKind {
 }
 
 /// What a span covers. Instant-like events (a partition decision, a
-/// fetch, a steal) are recorded with `start_ns == end_ns`.
+/// fetch) are recorded with `start_ns == end_ns`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpanKind {
     /// One (sub)task execution: the destination buffer it wrote, the
@@ -55,11 +55,6 @@ pub enum SpanKind {
     },
     /// The Fetch module popped a unit from this thread's own list.
     Fetch,
-    /// A successful steal from `victim`'s ready list.
-    Steal {
-        /// The thread stolen from.
-        victim: u32,
-    },
     /// A contiguous period spent spinning with nothing to run.
     IdleSpin,
     /// A serving shard checked an arena out of its cache (`fresh` on a
@@ -113,7 +108,6 @@ impl SpanKind {
             SpanKind::Task { .. } => "task",
             SpanKind::Partition { .. } => "partition",
             SpanKind::Fetch => "fetch",
-            SpanKind::Steal { .. } => "steal",
             SpanKind::IdleSpin => "idle",
             SpanKind::ArenaCheckout { .. } => "arena",
             SpanKind::Job { .. } => "job",

@@ -7,7 +7,7 @@
 //!
 //! * an **event model** ([`SpanKind`], [`TraceEvent`]) covering every
 //!   scheduler event — task execute (buffer, primitive kind, weight,
-//!   part index), partition decisions, fetches, steals, idle spins,
+//!   part index), partition decisions, fetches, idle spins,
 //!   arena checkouts — plus job- and query-level spans;
 //! * per-thread **span recorders** ([`SpanRecorder`]) writing into
 //!   fixed-capacity ring buffers: zero allocation on the hot path,
@@ -19,7 +19,7 @@
 //! * a **Chrome-trace exporter** ([`chrome_trace_json`]) whose output
 //!   loads directly in `chrome://tracing` / [Perfetto](https://ui.perfetto.dev);
 //! * a **timeline analyzer** ([`analyze`]) computing per-thread
-//!   busy/idle/steal breakdowns, a load-imbalance score, and the
+//!   busy/idle breakdowns, a load-imbalance score, and the
 //!   observed cost rate used to compare wall time against the
 //!   reroot critical-path estimate;
 //! * the **shared statistic types** the rest of the workspace builds

@@ -15,16 +15,14 @@ pub struct ThreadStats {
     /// Time spent in the scheduler itself: fetching, allocating,
     /// partitioning, waiting.
     pub overhead: Duration,
-    /// The part of `overhead` spent spinning with an empty ready list
-    /// (and, with stealing on, nothing to steal) — the cost a persistent
-    /// pool must keep low between a job's dependency waves.
+    /// The part of `overhead` spent spinning with an empty ready list —
+    /// the cost a persistent pool must keep low between a job's
+    /// dependency waves.
     pub idle_spin: Duration,
     /// Number of (sub)tasks executed.
     pub tasks_executed: usize,
     /// Total weight (table entries processed) executed.
     pub weight_executed: u64,
-    /// Tasks this thread obtained by stealing from a victim's list.
-    pub steals: u64,
     /// Ready (sub)tasks this thread handed to a local list (the
     /// Allocate module ran here).
     pub allocations: u64,
@@ -63,11 +61,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Total successful steals across threads.
-    pub fn total_steals(&self) -> u64 {
-        self.threads.iter().map(|t| t.steals).sum()
-    }
-
     /// Total Allocate-module placements across threads.
     pub fn total_allocations(&self) -> u64 {
         self.threads.iter().map(|t| t.allocations).sum()

@@ -11,11 +11,12 @@
 //!   ([`taskgraph::TaskGraph`]);
 //! * the **collaborative scheduler** — per-thread ready lists, weight
 //!   counters, allocate-to-least-loaded, δ-partitioning of large tasks —
-//!   on real threads ([`core::CollaborativeEngine`]);
-//! * baseline engines (sequential, OpenMP-style loop-parallel,
-//!   per-primitive data-parallel) and a deterministic **discrete-event
-//!   multicore simulator** regenerating every figure of the paper's
-//!   evaluation ([`simcore`]).
+//!   on a resident pool of real threads ([`core::CollaborativeEngine`]),
+//!   checked against the sequential oracle ([`core::SequentialEngine`]);
+//! * a deterministic **discrete-event multicore simulator** replaying
+//!   the collaborative scheduler, its work-stealing ablation and the
+//!   paper's OpenMP-style, data-parallel and PNL-style baselines, which
+//!   regenerates every figure of the paper's evaluation ([`simcore`]).
 //!
 //! This crate is a facade re-exporting the workspace. See the individual
 //! crate docs for depth, `DESIGN.md` for the system inventory, and

@@ -2,27 +2,30 @@
 //! the brute-force joint oracle, across evidence configurations.
 
 use evprop::bayesnet::{networks, random_network, JointDistribution, RandomNetworkConfig};
-use evprop::core::{
-    CollaborativeEngine, DataParallelEngine, Engine, InferenceSession, OpenMpStyleEngine,
-    SequentialEngine,
-};
+use evprop::core::{CollaborativeEngine, Engine, InferenceSession, SequentialEngine};
 use evprop::potential::{EvidenceSet, VarId};
+use evprop::sched::SchedulerConfig;
 
+/// The sequential oracle plus the collaborative engine at 1/2/4 threads
+/// with δ off and with a δ small enough to partition these networks.
 fn engines() -> Vec<Box<dyn Engine>> {
-    vec![
-        Box::new(SequentialEngine),
-        Box::new(CollaborativeEngine::with_threads(1)),
-        Box::new(CollaborativeEngine::with_threads(4)),
-        Box::new(OpenMpStyleEngine::new(2)),
-        Box::new(DataParallelEngine::new(2)),
-    ]
+    let mut engines: Vec<Box<dyn Engine>> = vec![Box::new(SequentialEngine)];
+    for threads in [1, 2, 4] {
+        let cfg = SchedulerConfig::with_threads(threads);
+        engines.push(Box::new(CollaborativeEngine::new(
+            cfg.clone().without_partitioning(),
+        )));
+        engines.push(Box::new(CollaborativeEngine::new(cfg.with_delta(4))));
+    }
+    engines
 }
 
 fn check_against_oracle(net: &evprop::bayesnet::BayesianNetwork, evidences: &[EvidenceSet]) {
     let session = InferenceSession::from_network(net).expect("network compiles");
     let joint = JointDistribution::of(net).expect("network is small");
+    let engines = engines();
     for ev in evidences {
-        for engine in engines() {
+        for engine in &engines {
             let cal = session.propagate(engine.as_ref(), ev).expect("propagation");
             for v in 0..net.num_vars() as u32 {
                 if ev.state_of(VarId(v)).is_some() {
