@@ -79,11 +79,27 @@
 //! and the next job's `job_view` — starts only after every access of the
 //! previous job happened-before it (the pool's job-completion handshake
 //! carries the edge, exactly as the dependency counters do within a
-//! job). Buffer *identity* (count and domains, checked by
+//! job). Buffer *layout* (count and domains, checked by
 //! [`TableArena::matches`]) is what ties an arena to a task graph;
 //! contents are irrelevant to soundness because every propagation fully
 //! overwrites the buffers it reads through the DAG's write-before-read
 //! ordering.
+//!
+//! ## Layout identity
+//!
+//! Walking every buffer's `Domain` to re-establish that tie costs more
+//! than a small query's kernels (1017 comparisons on a 128-clique tree,
+//! twice per query), so a graph's buffer table carries an identity —
+//! [`TaskGraph::layout_id`], a process-wide counter value taken when
+//! the table is built and kept by everything that copies the table
+//! unchanged (a clone, a slice scaffold). The arena remembers the
+//! identity it was last initialized or reset for, and `matches` is one
+//! integer comparison when it is asked about that graph again. Equal
+//! ids only ever *shortcut a walk that would have returned `true`*; a
+//! different id proves nothing, so `matches` then does the walk, and
+//! the `&mut self` entry points adopt the id of whatever graph passed.
+//! Soundness never rests on the id: windows are bounded by the arena's
+//! own table lengths and every kernel checks its operands' lengths.
 //!
 //! All `unsafe` access is confined to this module.
 
@@ -99,6 +115,10 @@ use std::marker::PhantomData;
 /// the safety model.
 pub struct TableArena {
     cells: Vec<UnsafeCell<PotentialTable>>,
+    /// [`TaskGraph::layout_id`] of the graph this arena was last
+    /// initialized or reset for — what [`TableArena::matches`] compares
+    /// before it walks the domains.
+    layout_id: u64,
 }
 
 // SAFETY: see the module-level safety model; cross-thread access only
@@ -145,12 +165,25 @@ impl TableArena {
             })
             .collect();
         apply_soft_and_check(graph, evidence, &mut cells);
-        TableArena { cells }
+        TableArena {
+            cells,
+            layout_id: graph.layout_id(),
+        }
     }
 
     /// `true` when this arena's buffer layout (count and domains) was
     /// built for `graph` — the precondition of [`TableArena::reset`].
+    ///
+    /// Answered from the graph's [`layout_id`](TaskGraph::layout_id)
+    /// when it is the one this arena was last set up for (the
+    /// steady-state serving case: one comparison instead of one
+    /// `Domain` comparison per buffer); any other graph is compared
+    /// structurally, so an equal layout built elsewhere still matches.
     pub fn matches(&self, graph: &TaskGraph) -> bool {
+        self.layout_id == graph.layout_id() || self.matches_structurally(graph)
+    }
+
+    fn matches_structurally(&self, graph: &TaskGraph) -> bool {
         self.cells.len() == graph.buffers().len()
             && graph.buffers().iter().zip(&self.cells).all(|(spec, cell)| {
                 // SAFETY: &self + immutable read of the domain; callers
@@ -159,6 +192,16 @@ impl TableArena {
                 let t = unsafe { &*cell.get() };
                 *t.domain() == spec.domain
             })
+    }
+
+    /// The `matches` assertion of the `&mut self` entry points, which
+    /// also adopt `graph`'s identity so the next check is the fast one.
+    fn assert_matches_and_adopt(&mut self, graph: &TaskGraph) {
+        assert!(
+            self.matches(graph),
+            "arena layout does not match this task graph"
+        );
+        self.layout_id = graph.layout_id();
     }
 
     /// Re-initializes every buffer **in place** for a fresh query:
@@ -179,10 +222,7 @@ impl TableArena {
         clique_potentials: &[PotentialTable],
         evidence: &EvidenceSet,
     ) {
-        assert!(
-            self.matches(graph),
-            "arena layout does not match this task graph"
-        );
+        self.assert_matches_and_adopt(graph);
         for (cell, spec) in self.cells.iter_mut().zip(graph.buffers()) {
             let t = cell.get_mut();
             match spec.init {
@@ -221,10 +261,7 @@ impl TableArena {
         evidence: &EvidenceSet,
         cliques: &[CliqueId],
     ) {
-        assert!(
-            self.matches(graph),
-            "arena layout does not match this task graph"
-        );
+        self.assert_matches_and_adopt(graph);
         for &c in cliques {
             let buf = graph.clique_buffer(c);
             let t = self.cells[buf.index()].get_mut();
@@ -300,9 +337,11 @@ impl TableArena {
     /// Single-threaded mutable view for sequential engines and tests.
     ///
     /// Replacing a table wholesale through this slice (rather than
-    /// mutating entries in place) is allowed — any later job re-derives
-    /// its base pointers via [`TableArena::job_view`], so the swap is
-    /// observed.
+    /// mutating entries in place) is allowed as long as the replacement
+    /// has the same domain — any later job re-derives its base pointers
+    /// via [`TableArena::job_view`], so the swap is observed. (A table of
+    /// another domain would break the layout [`TableArena::matches`]
+    /// vouches for; the kernels' own length checks then panic.)
     pub fn tables_mut(&mut self) -> &mut [PotentialTable] {
         // SAFETY: &mut self guarantees exclusivity; UnsafeCell<T> has the
         // same layout as T.
@@ -712,6 +751,31 @@ mod tests {
         let other = TaskGraph::from_shape(&shape);
         assert!(!arena.matches(&other));
         arena.reset(&other, &pots, &EvidenceSet::new());
+    }
+
+    /// `matches` by identity (a clone, a slice scaffold), by structure
+    /// (an equal layout built separately, whose id `reset` then
+    /// adopts), and not at all (a different layout, a replicated table).
+    #[test]
+    fn matches_by_identity_then_by_structure() {
+        let (g, pots) = two_clique_graph();
+        let mut arena = TableArena::initialize(&g, &pots, &EvidenceSet::new());
+        assert_eq!(arena.layout_id, g.layout_id());
+        for same_table in [g.clone(), g.slice_scaffold()] {
+            assert_eq!(same_table.layout_id(), g.layout_id());
+            assert!(arena.matches(&same_table));
+        }
+
+        let (twin, _) = two_clique_graph();
+        assert_ne!(twin.layout_id(), g.layout_id());
+        assert!(arena.matches(&twin), "equal layout, foreign graph");
+        arena.reset(&twin, &pots, &EvidenceSet::new());
+        assert_eq!(arena.layout_id, twin.layout_id());
+        assert!(arena.matches(&g), "and back, by structure");
+
+        let batch = g.replicate(2);
+        assert_ne!(batch.layout_id(), g.layout_id());
+        assert!(!arena.matches(&batch));
     }
 
     #[test]

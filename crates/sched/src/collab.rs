@@ -59,6 +59,10 @@ struct LocalList {
     /// as the tie-breaker so zero-weight *idle* threads win allocations
     /// over zero-weight busy ones.
     idle: AtomicBool,
+    /// Pushes plus successful pops — counted, not timed, so a test can
+    /// assert which jobs go through the lists at all.
+    #[cfg(test)]
+    ops: AtomicUsize,
 }
 
 impl LocalList {
@@ -66,7 +70,21 @@ impl LocalList {
         let mut q = self.queue.lock();
         q.push_back(e);
         self.weight.fetch_add(w, Ordering::Relaxed);
+        #[cfg(test)]
+        self.ops.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// Job-lifetime scheduler state that outlives the job: a pool keeps one
+/// behind its submission lock and lends it to each job's [`Shared`], so
+/// a steady-state job sizes nothing it sized before.
+#[derive(Debug, Default)]
+pub(crate) struct JobScratch {
+    /// Remaining dependency degree per static task.
+    deps: Vec<AtomicU32>,
+    /// The one-worker walk's ready ring: every task enters exactly
+    /// once, so `num_tasks` slots and two cursors never wrap.
+    ring: Vec<AtomicUsize>,
 }
 
 /// Everything one scheduler **job** shares between workers. Built per
@@ -78,8 +96,11 @@ pub(crate) struct Shared<'g> {
     /// in [`crate::arena`]. Workers never touch the tables directly.
     view: ArenaView<'g>,
     cfg: &'g SchedulerConfig,
-    /// Remaining dependency degree per static task.
-    deps: Vec<AtomicU32>,
+    /// Remaining dependency degree per static task. With one worker
+    /// only that worker touches them (plain load/store, see [`walk`]).
+    deps: &'g [AtomicU32],
+    /// The one-worker ready ring; empty when the job has more workers.
+    ring: &'g [AtomicUsize],
     lls: Vec<LocalList>,
     records: Mutex<Vec<Arc<Record>>>,
     /// Static tasks not yet (semantically) complete.
@@ -110,7 +131,10 @@ impl<'g> Shared<'g> {
     /// ready list per worker, and the initially-ready tasks placed by
     /// the same weight-aware rule the Allocate module uses (`arg min_t
     /// W_t`, Line 7 of Algorithm 2) — round-robin would hand one thread
-    /// several heavy roots while another starts idle.
+    /// several heavy roots while another starts idle. A one-worker job
+    /// places nothing: its worker seeds a private ring instead (see
+    /// [`walk`]). Counters and ring are lent by `scratch`, resized only
+    /// when this graph is larger than any the scratch has served.
     ///
     /// # Safety
     ///
@@ -129,30 +153,43 @@ impl<'g> Shared<'g> {
         arena: &'g TableArena,
         cfg: &'g SchedulerConfig,
         p: usize,
+        scratch: &'g mut JobScratch,
     ) -> Self {
         assert_eq!(
             graph.buffers().len(),
             arena.len(),
             "arena was not initialized for this graph"
         );
+        let n = graph.num_tasks();
+        if scratch.deps.len() < n {
+            scratch.deps.resize_with(n, AtomicU32::default);
+        }
+        if p == 1 && scratch.ring.len() < n {
+            scratch.ring.resize_with(n, AtomicUsize::default);
+        }
+        for (t, dep) in scratch.deps[..n].iter_mut().enumerate() {
+            *dep.get_mut() = graph.dependency_degree(TaskId(t));
+        }
+        let scratch: &'g JobScratch = scratch;
         let shared = Shared {
             graph,
             // SAFETY: forwarded to our caller — sole arena user for the
             // lifetime of this job.
             view: arena.job_view(),
             cfg,
-            deps: (0..graph.num_tasks())
-                .map(|t| AtomicU32::new(graph.dependency_degree(TaskId(t))))
-                .collect(),
+            deps: &scratch.deps[..n],
+            ring: if p == 1 { &scratch.ring[..n] } else { &[] },
             lls: (0..p)
                 .map(|_| LocalList {
                     queue: Mutex::new(VecDeque::new()),
                     weight: AtomicU64::new(0),
                     idle: AtomicBool::new(false),
+                    #[cfg(test)]
+                    ops: AtomicUsize::new(0),
                 })
                 .collect(),
             records: Mutex::new(Vec::new()),
-            remaining: AtomicUsize::new(graph.num_tasks()),
+            remaining: AtomicUsize::new(n),
             partitioned: AtomicUsize::new(0),
             subtasks: AtomicUsize::new(0),
             aborted: AtomicBool::new(false),
@@ -160,9 +197,11 @@ impl<'g> Shared<'g> {
             #[cfg(feature = "trace")]
             trace: None,
         };
-        for t in graph.initial_ready() {
-            let w = graph.task(t).weight;
-            shared.lls[least_loaded(&shared.lls)].push_back(Exec::Static(t), w);
+        if p > 1 {
+            for t in graph.initial_ready() {
+                let w = graph.task(t).weight;
+                shared.lls[least_loaded(&shared.lls)].push_back(Exec::Static(t), w);
+            }
         }
         shared
     }
@@ -284,6 +323,12 @@ struct WorkerTracer<'s> {
 
 #[cfg(feature = "trace")]
 impl WorkerTracer<'_> {
+    /// Whether events go anywhere — the one-worker walk reads per-task
+    /// clocks only then.
+    fn recording(&self) -> bool {
+        self.sink.is_some()
+    }
+
     fn fetch(&self) {
         if let Some(s) = self.sink {
             s.recorder(self.row)
@@ -364,6 +409,9 @@ struct WorkerTracer;
 
 #[cfg(not(feature = "trace"))]
 impl WorkerTracer {
+    fn recording(&self) -> bool {
+        false
+    }
     fn fetch(&self) {}
     fn idle_begin(&mut self, _at: Instant) {}
     fn work_resumed(&mut self) {}
@@ -416,11 +464,24 @@ pub fn run_collaborative(
         .unwrap_or_else(|p| panic!("{p}"))
 }
 
-/// The per-thread loop: Fetch → (Partition) → Execute → Allocate.
+/// One worker's share of a job: Algorithm 2's loop, or — when the job
+/// has no second worker to collaborate with — the private [`walk`].
 pub(crate) fn worker(sh: &Shared<'_>, id: usize) -> ThreadStats {
     let start = Instant::now();
     let mut stats = ThreadStats::default();
     let mut tr = sh.tracer(id);
+    if sh.lls.len() == 1 {
+        walk(sh, start, &mut stats, &tr);
+    } else {
+        collaborate(sh, id, &mut stats, &mut tr);
+    }
+    tr.finish();
+    stats.overhead = start.elapsed().saturating_sub(stats.busy);
+    stats
+}
+
+/// The per-thread loop: Fetch → (Partition) → Execute → Allocate.
+fn collaborate(sh: &Shared<'_>, id: usize, stats: &mut ThreadStats, tr: &mut WorkerTracer) {
     let backoff = Backoff::new();
     loop {
         if sh.remaining.load(Ordering::Acquire) == 0 || sh.is_aborted() || sh.is_cancelled() {
@@ -439,11 +500,106 @@ pub(crate) fn worker(sh: &Shared<'_>, id: usize) -> ThreadStats {
         backoff.reset();
         tr.work_resumed();
         tr.fetch();
-        process(sh, id, e, &mut stats, &tr);
+        process(sh, id, e, stats, tr);
     }
-    tr.finish();
-    stats.overhead = start.elapsed().saturating_sub(stats.busy);
-    stats
+}
+
+/// P = 1: Algorithm 2 makes no decision. Allocate's `arg min_t W_t`
+/// has one candidate and Fetch's list one reader, so the lone worker
+/// runs the DAG as a private FIFO walk — the order its LL would have
+/// produced — with none of the machinery that exists to share work: no
+/// LL (lock, weight counter, idle flag), no `least_loaded`, and plain
+/// load/store on the dependency counters. That is not a lost update:
+/// under the serialized-jobs invariant this thread is the only one that
+/// touches the job's counters and ring between the pool's handoff and
+/// its completion handshake, which carry the happens-before edges to
+/// and from the submitter.
+///
+/// Execution is Algorithm 2's own ([`exec_full`], [`exec_part`]). A task
+/// over δ runs its parts here in index order, partials folded by part
+/// index exactly as the combiner folds them, so answers stay
+/// bit-identical to every other worker count. Every task-boundary check
+/// stays: abort, cancel token, poison, chaos slowdown.
+///
+/// Clocks: with no sink recording, `busy` is the walk's wall time, read
+/// once (kernels plus this loop; `overhead` is what the worker spent
+/// around it). While a sink records, each unit is clocked as in
+/// Algorithm 2 so its spans and `busy` come from the same instants.
+fn walk(sh: &Shared<'_>, start: Instant, stats: &mut ThreadStats, tr: &WorkerTracer) {
+    let graph = sh.graph;
+    let n = graph.num_tasks();
+    let clocked = tr.recording();
+    let (mut head, mut tail) = (0, 0);
+    for t in (0..n).filter(|&t| graph.dependency_degree(TaskId(t)) == 0) {
+        sh.ring[tail].store(t, Ordering::Relaxed);
+        tail += 1;
+    }
+    while head < tail && !sh.is_aborted() && !sh.is_cancelled() {
+        let t = TaskId(sh.ring[head].load(Ordering::Relaxed));
+        tr.fetch();
+        check_poison(sh, t);
+        let task = graph.task(t);
+        let len = graph.partition_len(t);
+        match sh.cfg.partition_threshold {
+            Some(delta) if len > delta => {
+                let record = partition(sh, t, len, delta, tr);
+                for (part, &range) in record.ranges.iter().enumerate() {
+                    // Algorithm 2 allocates every part but the first.
+                    stats.allocations += u64::from(part > 0);
+                    let (plan, weight) = subtask_plan(sh, t, range);
+                    let part_no = Some(part as u32);
+                    run_unit(stats, tr, clocked, &task.kind, weight, part_no, |stats| {
+                        exec_part(sh, &record, part, plan, stats)
+                    });
+                }
+            }
+            _ => run_unit(stats, tr, clocked, &task.kind, task.weight, None, |_| {
+                // SAFETY: this thread runs every task of the job, in an
+                // order the DAG allows; no other window is live.
+                unsafe { exec_full(sh, t) }
+            }),
+        }
+        head += 1;
+        for &s in graph.successors(t) {
+            let dep = &sh.deps[s.index()];
+            let left = dep.load(Ordering::Relaxed) - 1;
+            dep.store(left, Ordering::Relaxed);
+            if left == 0 {
+                stats.allocations += 1;
+                sh.ring[tail].store(s.index(), Ordering::Relaxed);
+                tail += 1;
+            }
+        }
+    }
+    if !clocked {
+        stats.busy = start.elapsed();
+    }
+    sh.remaining.store(n - head, Ordering::Release);
+}
+
+/// One executed unit of the walk: the chaos hook every unit passes,
+/// `exec`, and the same books [`record_exec`] keeps — with the clock
+/// pair and the task span only while a sink records.
+fn run_unit(
+    stats: &mut ThreadStats,
+    tr: &WorkerTracer,
+    clocked: bool,
+    kind: &TaskKind,
+    weight: u64,
+    part: Option<u32>,
+    exec: impl FnOnce(&mut ThreadStats),
+) {
+    chaos_slowdown();
+    if clocked {
+        let t0 = Instant::now();
+        exec(stats);
+        let t1 = record_exec(stats, t0, weight);
+        tr.task(kind, weight, part, t0, t1);
+    } else {
+        exec(stats);
+        stats.tasks_executed += 1;
+        stats.weight_executed += weight;
+    }
 }
 
 /// Pops the head of thread `id`'s LL, keeping the weight counter
@@ -454,6 +610,8 @@ fn pop_front(sh: &Shared<'_>, id: usize) -> Option<Exec> {
     let e = q.pop_front()?;
     ll.weight
         .fetch_sub(exec_weight(sh.graph, e), Ordering::Relaxed);
+    #[cfg(test)]
+    ll.ops.fetch_add(1, Ordering::Relaxed);
     Some(e)
 }
 
@@ -491,40 +649,22 @@ fn allocate(sh: &Shared<'_>, e: Exec, w: u64, stats: &mut ThreadStats) {
 /// Executes one unit and performs the Allocate bookkeeping for whatever
 /// it unblocks.
 fn process(sh: &Shared<'_>, id: usize, e: Exec, stats: &mut ThreadStats, tr: &WorkerTracer) {
-    #[cfg(feature = "chaos")]
-    if let Some(delay) = crate::chaos::kernel_slowdown() {
-        std::thread::sleep(delay);
-    }
+    chaos_slowdown();
     match e {
         Exec::Static(t) => {
-            // Fault injection: poison one task to exercise the pool's
-            // panic containment (a real panic here would be a bug in a
-            // primitive or an OOM inside a partial-table allocation).
-            if sh.cfg.poison_task == Some(t.index()) {
-                panic!("injected poison: task {} panicked", t.index());
-            }
+            check_poison(sh, t);
             let task = sh.graph.task(t);
             let len = sh.graph.partition_len(t);
             match sh.cfg.partition_threshold {
                 // Partition module: large task → subtasks of ≤ δ entries.
                 Some(delta) if len > delta => {
-                    let ranges = EntryRange::split(len, delta);
-                    let n = ranges.len();
-                    debug_assert!(n >= 2);
-                    let record = Arc::new(Record {
-                        task: t,
-                        ranges,
-                        final_deps: AtomicU32::new((n - 1) as u32),
-                        partials: Mutex::new(Vec::new()),
-                    });
+                    let record = Arc::new(partition(sh, t, len, delta, tr));
+                    let n = record.ranges.len();
                     let rec = {
                         let mut recs = sh.records.lock();
                         recs.push(record.clone());
                         recs.len() - 1
                     };
-                    sh.partitioned.fetch_add(1, Ordering::Relaxed);
-                    sh.subtasks.fetch_add(n, Ordering::Relaxed);
-                    tr.partition(&task.kind, n);
                     // middle subtasks spread across threads
                     for part in 1..n - 1 {
                         let (plan, weight) = subtask_plan(sh, t, record.ranges[part]);
@@ -566,6 +706,40 @@ fn process(sh: &Shared<'_>, id: usize, e: Exec, stats: &mut ThreadStats, tr: &Wo
     }
 }
 
+/// The chaos harness's per-unit kernel slowdown, when armed.
+fn chaos_slowdown() {
+    #[cfg(feature = "chaos")]
+    if let Some(delay) = crate::chaos::kernel_slowdown() {
+        std::thread::sleep(delay);
+    }
+}
+
+/// Fault injection: poison one task to exercise the pool's panic
+/// containment (a real panic here would be a bug in a primitive or an
+/// OOM inside a partial-table allocation).
+fn check_poison(sh: &Shared<'_>, t: TaskId) {
+    if sh.cfg.poison_task == Some(t.index()) {
+        panic!("injected poison: task {} panicked", t.index());
+    }
+}
+
+/// Partition module: the record of task `t` split into subtasks of at
+/// most `delta` entries, counted into the job's totals.
+fn partition(sh: &Shared<'_>, t: TaskId, len: usize, delta: usize, tr: &WorkerTracer) -> Record {
+    let ranges = EntryRange::split(len, delta);
+    let n = ranges.len();
+    debug_assert!(n >= 2);
+    sh.partitioned.fetch_add(1, Ordering::Relaxed);
+    sh.subtasks.fetch_add(n, Ordering::Relaxed);
+    tr.partition(&sh.graph.task(t).kind, n);
+    Record {
+        task: t,
+        ranges,
+        final_deps: AtomicU32::new((n - 1) as u32),
+        partials: Mutex::new(Vec::new()),
+    }
+}
+
 /// Interned plan id and plan op-count weight for one subtask range of
 /// task `t`. The graph's [`PlanCache`](evprop_taskgraph::PlanCache)
 /// memoizes ids by `(task, range)` without compiling — the program is
@@ -588,7 +762,8 @@ fn record_exec(stats: &mut ThreadStats, t0: Instant, weight: u64) -> Instant {
     t1
 }
 
-/// Executes subtask `part` of a partitioned task.
+/// Executes subtask `part` of a partitioned task and nothing else — the
+/// half of [`run_part`] the one-worker [`walk`] shares.
 ///
 /// Every arena access goes through a window of the job's [`ArenaView`]:
 /// a subtask owns exactly its own [`EntryRange`] of the destination
@@ -601,25 +776,18 @@ fn record_exec(stats: &mut ThreadStats, t0: Instant, weight: u64) -> Instant {
 /// Cross-domain subtasks execute through the interned [`KernelPlan`]
 /// named by `plan` (compiled once per `(task, range)` and cached on the
 /// graph).
-#[allow(clippy::too_many_arguments)]
-fn run_part(
+fn exec_part(
     sh: &Shared<'_>,
-    _id: usize,
-    rec: usize,
     record: &Record,
     part: usize,
     plan: Option<PlanId>,
     stats: &mut ThreadStats,
-    tr: &WorkerTracer,
 ) {
-    let n = record.ranges.len();
     let range = record.ranges[part];
-    let task = sh.graph.task(record.task);
-    let is_final = part == n - 1;
+    let is_final = part == record.ranges.len() - 1;
     let buffers = sh.graph.buffers();
 
-    let t0 = Instant::now();
-    match task.kind {
+    match sh.graph.task(record.task).kind {
         TaskKind::Marginalize { src, dst, max } => {
             let dst_domain = &buffers[dst.index()].domain;
             let kplan = sh
@@ -706,6 +874,29 @@ fn run_part(
                 .expect("plan was compiled for these buffers");
         }
     }
+}
+
+/// Runs subtask `part` of a partitioned task under Algorithm 2: execute,
+/// book, then either complete the task (the final part) or count down
+/// toward allocating the combiner.
+#[allow(clippy::too_many_arguments)]
+fn run_part(
+    sh: &Shared<'_>,
+    _id: usize,
+    rec: usize,
+    record: &Record,
+    part: usize,
+    plan: Option<PlanId>,
+    stats: &mut ThreadStats,
+    tr: &WorkerTracer,
+) {
+    let n = record.ranges.len();
+    let range = record.ranges[part];
+    let task = sh.graph.task(record.task);
+    let is_final = part == n - 1;
+
+    let t0 = Instant::now();
+    exec_part(sh, record, part, plan, stats);
     let t1 = record_exec(stats, t0, range.len() as u64);
     tr.task(&task.kind, range.len() as u64, Some(part as u32), t0, t1);
 
@@ -748,7 +939,7 @@ fn complete_static(sh: &Shared<'_>, t: TaskId, stats: &mut ThreadStats) {
 /// Caller must hold (via the task DAG) exclusive access to the task's
 /// destination buffer and shared access to its sources.
 unsafe fn exec_full(sh: &Shared<'_>, t: TaskId) {
-    let plan = |msg: &str| sh.graph.task_plan(t).expect(msg);
+    let plan = |msg: &str| sh.graph.task_plan_ref(t).expect(msg);
     match sh.graph.task(t).kind {
         TaskKind::Marginalize { src, dst, max } => {
             let s = sh.view.read_full(src);
@@ -924,51 +1115,124 @@ mod tests {
     #[test]
     fn weights_drain_to_zero_after_run() {
         let (g, pots) = asia_setup();
+        let mut scratch = JobScratch::default();
         for (threads, delta) in [(1, None), (4, Some(1)), (8, Some(2))] {
             let arena = TableArena::initialize(&g, &pots, &EvidenceSet::new());
             let mut cfg = SchedulerConfig::with_threads(threads);
             cfg.partition_threshold = delta;
-            // SAFETY: this test is the arena's only user; workers are
-            // joined by the scope before `assert_drained` runs.
-            let sh = unsafe { Shared::prepare(&g, &arena, &cfg, threads) };
-            std::thread::scope(|s| {
-                for id in 0..threads {
-                    let shr = &sh;
-                    s.spawn(move || worker(shr, id));
-                }
-            });
+            let (sh, _) = run_scoped(&g, &arena, &cfg, &mut scratch, None);
             sh.assert_drained();
         }
     }
 
-    /// A token that fired before the handoff stops every worker at its
-    /// first boundary check: no task runs, `remaining` stays at the
-    /// full task count, and the workers return instead of spinning.
+    /// A token that fired before the handoff — by flag or by an
+    /// already-expired deadline — stops every worker at its first
+    /// boundary check: no task runs, `remaining` stays at the full task
+    /// count, and the workers return instead of spinning. One worker
+    /// (the walk) and two (Algorithm 2), at any δ.
     #[test]
     fn pre_fired_token_stops_workers_before_any_task() {
         let (g, pots) = asia_setup();
-        let arena = TableArena::initialize(&g, &pots, &EvidenceSet::new());
-        let cfg = SchedulerConfig::with_threads(2);
-        // SAFETY: this test is the arena's only user; workers are
-        // joined by the scope.
-        let mut sh = unsafe { Shared::prepare(&g, &arena, &cfg, 2) };
-        let token = CancelToken::new();
-        token.cancel();
-        sh.set_cancel(Some(token));
-        let reports = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
+        let fired = CancelToken::new();
+        fired.cancel();
+        let expired = CancelToken::with_deadline(Instant::now());
+        let mut scratch = JobScratch::default();
+        for (threads, delta) in [(1, None), (1, Some(2)), (2, None)] {
+            for token in [&fired, &expired] {
+                let arena = TableArena::initialize(&g, &pots, &EvidenceSet::new());
+                let mut cfg = SchedulerConfig::with_threads(threads);
+                cfg.partition_threshold = delta;
+                let (sh, reports) = run_scoped(&g, &arena, &cfg, &mut scratch, Some(token.clone()));
+                assert_eq!(sh.tasks_remaining(), g.num_tasks());
+                assert!(reports.iter().all(|r| r.tasks_executed == 0));
+            }
+        }
+    }
+
+    /// Runs one job of `threads` workers on scoped threads and returns
+    /// its `Shared` for inspection, with the workers' stats.
+    fn run_scoped<'g>(
+        g: &'g TaskGraph,
+        arena: &'g TableArena,
+        cfg: &'g SchedulerConfig,
+        scratch: &'g mut JobScratch,
+        cancel: Option<CancelToken>,
+    ) -> (Shared<'g>, Vec<ThreadStats>) {
+        let threads = cfg.num_threads;
+        // SAFETY: the calling test is the arena's only user; the scope
+        // joins every worker before `Shared` is returned.
+        let mut sh = unsafe { Shared::prepare(g, arena, cfg, threads, scratch) };
+        sh.set_cancel(cancel);
+        let stats = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
                 .map(|id| {
                     let shr = &sh;
                     s.spawn(move || worker(shr, id))
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap())
-                .collect::<Vec<_>>()
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert_eq!(sh.tasks_remaining(), g.num_tasks());
-        assert!(reports.iter().all(|r| r.tasks_executed == 0));
+        (sh, stats)
+    }
+
+    fn ll_ops(sh: &Shared<'_>) -> usize {
+        sh.lls.iter().map(|ll| ll.ops.load(Ordering::Relaxed)).sum()
+    }
+
+    /// Counted, not timed: a one-worker job never goes through a local
+    /// list, a two-worker job pushes and pops every task through one.
+    /// The books the walk keeps by hand must still read like Algorithm
+    /// 2's: every task executed once, every non-root task allocated.
+    #[test]
+    fn one_worker_job_takes_no_ll_operations() {
+        let (g, pots) = asia_setup();
+        let roots = g.initial_ready().len();
+        let mut scratch = JobScratch::default();
+
+        let arena = TableArena::initialize(&g, &pots, &EvidenceSet::new());
+        let cfg = SchedulerConfig::with_threads(1);
+        let (sh, stats) = run_scoped(&g, &arena, &cfg, &mut scratch, None);
+        assert!(ll_ops(&sh) <= roots, "{} LL operations", ll_ops(&sh));
+        assert_eq!(sh.tasks_remaining(), 0);
+        sh.assert_drained();
+        assert_eq!(stats[0].tasks_executed, g.num_tasks());
+        assert_eq!(stats[0].weight_executed, g.total_weight());
+        assert_eq!(stats[0].allocations as usize, g.num_tasks() - roots);
+        drop(sh);
+
+        let arena = TableArena::initialize(&g, &pots, &EvidenceSet::new());
+        let cfg = SchedulerConfig::with_threads(2);
+        let (sh, _) = run_scoped(&g, &arena, &cfg, &mut scratch, None);
+        assert!(
+            ll_ops(&sh) >= g.num_tasks(),
+            "{} LL operations",
+            ll_ops(&sh)
+        );
+    }
+
+    /// One worker at tiny δ (every part inline, in index order) computes
+    /// the very bits eight workers racing over the same parts do.
+    #[test]
+    fn one_worker_partitioned_walk_is_bitwise_the_parallel_answer() {
+        let (g, pots) = asia_setup();
+        for delta in [1, 2, 3] {
+            let run = |threads: usize| {
+                let arena = TableArena::initialize(&g, &pots, &EvidenceSet::new());
+                let cfg = SchedulerConfig::with_threads(threads).with_delta(delta);
+                let report = run_collaborative(&g, &arena, &cfg);
+                (arena.into_tables(), report)
+            };
+            let (one, report_one) = run(1);
+            let (eight, report_eight) = run(8);
+            for (i, (a, b)) in one.iter().zip(&eight).enumerate() {
+                assert_eq!(a.data(), b.data(), "buffer {i} at δ = {delta}");
+            }
+            assert_eq!(report_one.partitioned_tasks, report_eight.partitioned_tasks);
+            assert_eq!(report_one.subtasks_spawned, report_eight.subtasks_spawned);
+            let executed =
+                |r: &RunReport| -> usize { r.threads.iter().map(|t| t.tasks_executed).sum() };
+            assert_eq!(executed(&report_one), executed(&report_eight));
+        }
     }
 
     /// The weight-aware initial distribution: with one worker far ahead
@@ -979,7 +1243,8 @@ mod tests {
         let arena = TableArena::initialize(&g, &pots, &EvidenceSet::new());
         let cfg = SchedulerConfig::with_threads(2);
         // SAFETY: sole user of the arena; no workers run in this test.
-        let sh = unsafe { Shared::prepare(&g, &arena, &cfg, 2) };
+        let mut scratch = JobScratch::default();
+        let sh = unsafe { Shared::prepare(&g, &arena, &cfg, 2, &mut scratch) };
         let weights: Vec<u64> = sh
             .lls
             .iter()

@@ -21,6 +21,12 @@
 //! of dynamic subtasks; per-task dependency degrees are atomics, so
 //! "locking an entry" is a single `fetch_sub`.
 //!
+//! With one worker every one of those decisions is forced, so a
+//! one-worker job runs the same tasks as a private FIFO walk — ready
+//! ring and dependency counters owned by the thread, no LL, no weight
+//! counter, no atomic read-modify-write — through the same execution
+//! code (DESIGN.md §9, "P = 1").
+//!
 //! There is one executor: the resident [`CollabPool`], whose workers
 //! run the loop above job after job. [`run_collaborative`] is the same
 //! pool built, used once and dropped. The work-stealing ablation the

@@ -56,7 +56,7 @@
 //! (other pools) are untouched, and [`CollabPool::restarts`] counts
 //! every respawn for the serving stats.
 
-use crate::collab::{worker, Shared};
+use crate::collab::{worker, JobScratch, Shared};
 use crate::{CancelToken, RunReport, SchedulerConfig, TableArena, ThreadStats};
 use evprop_taskgraph::TaskGraph;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -173,8 +173,10 @@ struct Inner {
 /// ```
 pub struct CollabPool {
     inner: Arc<Inner>,
-    /// Serializes `run` calls: only one job may occupy the slot.
-    submit: Mutex<()>,
+    /// Serializes `run` calls: only one job may occupy the slot. The
+    /// lock's holder also holds the scheduler scratch (dependency
+    /// counters, one-worker ready ring) every job reuses.
+    submit: Mutex<JobScratch>,
     /// Sink attached to every subsequent job (worker rows + job spans
     /// on the control row).
     #[cfg(feature = "trace")]
@@ -215,7 +217,7 @@ impl CollabPool {
             .collect();
         CollabPool {
             inner,
-            submit: Mutex::new(()),
+            submit: Mutex::new(JobScratch::default()),
             #[cfg(feature = "trace")]
             trace: Mutex::new(None),
             handles: Mutex::new(handles),
@@ -355,7 +357,7 @@ impl CollabPool {
 
     fn run_locked(
         &self,
-        _submission: MutexGuard<'_, ()>,
+        mut submission: MutexGuard<'_, JobScratch>,
         graph: &TaskGraph,
         arena: &TableArena,
         cfg: &SchedulerConfig,
@@ -387,7 +389,7 @@ impl CollabPool {
         // user until we return — no other job can derive a view or
         // touch the buffers — and the completion handshake below joins
         // every worker access before we drop `shared`.
-        let mut shared = unsafe { Shared::prepare(graph, arena, cfg, p) };
+        let mut shared = unsafe { Shared::prepare(graph, arena, cfg, p, &mut submission) };
         shared.set_cancel(cancel.cloned());
         #[cfg(feature = "trace")]
         shared.set_trace(self.trace.lock().clone());
@@ -764,6 +766,112 @@ mod tests {
         let arena = TableArena::initialize(&g, &pots, &EvidenceSet::new());
         pool.run_cancellable(&g, &arena, &cfg, &token)
             .expect("far-future deadline never fires");
+    }
+
+    /// Sequential reference for whole-arena comparisons.
+    fn oracle(g: &TaskGraph, pots: &[evprop_potential::PotentialTable]) -> Vec<Vec<f64>> {
+        let mut arena = TableArena::initialize(g, pots, &EvidenceSet::new());
+        let tables = arena.tables_mut();
+        for t in g.topological_order().unwrap() {
+            evprop_taskgraph::execute_full(&g.task(t).kind, tables);
+        }
+        tables.iter().map(|t| t.data().to_vec()).collect()
+    }
+
+    /// The one-worker walk keeps the pool's failure contract at every
+    /// δ: a fired token (flag or expired deadline) is `Cancelled`, a
+    /// poisoned task is a `JobPanic`, and the next job on the same
+    /// arena, reset, computes the oracle's tables.
+    #[test]
+    fn one_worker_pool_cancels_panics_and_recovers() {
+        let (g, pots) = asia_graph();
+        let want = oracle(&g, &pots);
+        let pool = CollabPool::new(1);
+        let fired = CancelToken::new();
+        fired.cancel();
+        let expired = CancelToken::with_deadline(Instant::now());
+        for delta in [None, Some(2)] {
+            let mut cfg = SchedulerConfig::with_threads(1);
+            cfg.partition_threshold = delta;
+            let mut arena = TableArena::initialize(&g, &pots, &EvidenceSet::new());
+            for token in [&fired, &expired] {
+                assert!(matches!(
+                    pool.run_cancellable(&g, &arena, &cfg, token),
+                    Err(JobError::Cancelled)
+                ));
+            }
+
+            // A task in the middle, so the walk dies with work done.
+            cfg.poison_task = Some(g.num_tasks() / 2);
+            let err = pool.run(&g, &arena, &cfg).expect_err("poisoned");
+            assert!(err.message().contains("injected poison"), "{err}");
+
+            cfg.poison_task = None;
+            arena.reset(&g, &pots, &EvidenceSet::new());
+            pool.run(&g, &arena, &cfg).expect("clean job succeeds");
+            for (i, (w, have)) in want.iter().zip(arena.tables_mut()).enumerate() {
+                assert!(
+                    w.iter().zip(have.data()).all(|(a, b)| (a - b).abs() < 1e-9),
+                    "buffer {i} after recovery at δ = {delta:?}"
+                );
+            }
+        }
+    }
+
+    /// Two different slices rebuilt through ONE scratch graph and run
+    /// back to back on a one-worker pool leave the very bits the same
+    /// slices leave when each is built into a fresh graph: `slice_into`
+    /// reassigns task ids, so a resolved-plan table that outlived the
+    /// rebuild would run the second slice with the first one's plans.
+    #[test]
+    fn rebuilt_slice_scratch_runs_like_fresh_slices() {
+        use evprop_taskgraph::{EdgeUpdate, SlicePlan};
+        use evprop_workloads::{materialize, random_tree, TreeParams};
+
+        let shape = random_tree(&TreeParams::new(14, 4, 2, 3).with_seed(11));
+        let jt = materialize(&shape, 11);
+        let full = TaskGraph::from_shape(&shape);
+        let pool = CollabPool::new(1);
+        let cfg = SchedulerConfig::with_threads(1);
+        let none = EvidenceSet::new();
+        let calibrated = || {
+            let arena = TableArena::initialize(&full, jt.potentials(), &none);
+            pool.run(&full, &arena, &cfg).unwrap();
+            arena
+        };
+        let (mut via_scratch, mut via_fresh) = (calibrated(), calibrated());
+        let mut scratch = full.slice_scaffold();
+
+        let leaves = shape.leaves();
+        let (first, last) = (leaves[0], leaves[leaves.len() - 1]);
+        assert_ne!(first, last);
+        // re-collect `dirty` and its ancestors, distribute to `target`
+        for (dirty, target) in [(first, last), (last, first)] {
+            let mut plan = SlicePlan::default_for(shape.num_cliques());
+            let recollected = shape.path_from_root(dirty);
+            for &c in &recollected {
+                plan.recollect[c.index()] = true;
+            }
+            for &c in shape.path_from_root(target).iter().skip(1) {
+                let update = if plan.recollect[c.index()] {
+                    EdgeUpdate::Fresh
+                } else {
+                    EdgeUpdate::Stale
+                };
+                plan.path.push((c, update));
+            }
+            for arena in [&mut via_scratch, &mut via_fresh] {
+                arena.reset_cliques(&full, jt.potentials(), &none, &recollected);
+            }
+            full.slice_into(&mut scratch, &shape, &plan);
+            pool.run(&scratch, &via_scratch, &cfg).unwrap();
+            let fresh = full.incremental_slice(&shape, &plan);
+            pool.run(&fresh, &via_fresh, &cfg).unwrap();
+            let tables = via_scratch.tables_mut().iter().zip(via_fresh.tables_mut());
+            for (i, (a, b)) in tables.enumerate() {
+                assert_eq!(a.data(), b.data(), "buffer {i}, slice for {dirty:?}");
+            }
+        }
     }
 
     /// Back-to-back poisoned jobs: every submission returns (no hang),

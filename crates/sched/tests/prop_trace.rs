@@ -126,3 +126,49 @@ fn analyzer_busy_agrees_with_thread_stats_within_one_percent() {
         );
     }
 }
+
+/// The one-worker walk reads per-task clocks only while a sink records.
+/// Recording: exactly one `Task` span per task on row 0 (nothing here
+/// is over δ) and `busy` summed from the spans' own instants. Not
+/// recording: `busy` is the walk's one clock pair — still positive,
+/// with nothing spun and a finite computation ratio.
+#[test]
+fn one_worker_walk_is_clocked_per_task_only_while_recording() {
+    let shape = random_tree(&TreeParams::new(48, 9, 2, 3).with_seed(0xF9));
+    let jt = materialize(&shape, 0xF9);
+    let graph = TaskGraph::from_shape(&shape);
+    let cfg = SchedulerConfig::with_threads(1).without_partitioning();
+    let pool = CollabPool::new(1);
+    let run = || {
+        let arena = TableArena::initialize(&graph, jt.potentials(), &EvidenceSet::new());
+        let report = pool.run(&graph, &arena, &cfg).expect("job");
+        report.threads[0].clone()
+    };
+
+    let sink = Arc::new(TraceSink::for_workers(1, 1 << 14));
+    pool.set_trace_sink(Some(Arc::clone(&sink)));
+    let recorded = run();
+    pool.set_trace_sink(None);
+    let trace = sink.drain();
+    assert_eq!(trace.total_dropped(), 0);
+    let row = &analyze(&trace).threads[0];
+    assert_eq!(row.tasks, graph.num_tasks() as u64);
+    assert_eq!(row.fetches, graph.num_tasks() as u64);
+    let stat_ns = recorded.busy.as_nanos() as f64;
+    assert!(stat_ns > 0.0);
+    assert!(
+        (row.busy_ns as f64 - stat_ns).abs() / stat_ns < 0.01,
+        "analyzer busy {} ns vs ThreadStats {stat_ns} ns",
+        row.busy_ns
+    );
+
+    let plain = run();
+    assert_eq!(plain.tasks_executed, graph.num_tasks());
+    assert!(!plain.busy.is_zero());
+    assert!(plain.idle_spin.is_zero());
+    assert!(plain.compute_ratio().is_finite());
+    assert!(
+        sink.drain().total_events() == 0,
+        "detached sink saw the job"
+    );
+}

@@ -2,6 +2,9 @@
 //! high-thread propagations on one resident [`CollabPool`], each checked
 //! against the sequential oracle.
 //!
+//! One leg runs the same jobs on a one-worker pool, whose walk executes
+//! every part inline (the partition branch no default-δ test reaches).
+//!
 //! δ = 1 with 8 workers on small tables maximizes scheduler churn —
 //! every task shatters into single-entry subtasks, the ready lists stay
 //! near-empty so every Allocate decision races a Fetch, and the pool's
@@ -28,11 +31,24 @@ fn run_sequential(graph: &TaskGraph, arena: &mut TableArena) {
 
 #[test]
 fn thousands_of_tiny_delta_propagations_match_oracle() {
+    tiny_delta_propagations_match_oracle(8);
+}
+
+/// The same churn through the one-worker walk: every task shatters
+/// into single-entry parts run inline, partials folded by part index,
+/// on a pool whose scratch (dependency counters, ready ring) is reused
+/// across graphs of different sizes.
+#[test]
+fn one_worker_tiny_delta_propagations_match_oracle() {
+    tiny_delta_propagations_match_oracle(1);
+}
+
+fn tiny_delta_propagations_match_oracle(workers: usize) {
     const TREES: u64 = 8;
     const QUERIES_PER_TREE: usize = 125; // × 2 modes × 8 trees = 2000 runs
 
-    let pool = CollabPool::new(8);
-    let mut cfg = SchedulerConfig::with_threads(8);
+    let pool = CollabPool::new(workers);
+    let mut cfg = SchedulerConfig::with_threads(workers);
     cfg.partition_threshold = Some(1);
 
     for tree_seed in 0..TREES {

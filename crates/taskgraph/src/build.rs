@@ -1,12 +1,13 @@
 //! Construction of the global task DAG from a tree shape (§5.2).
 
 use crate::graph::{
-    BufferId, BufferInit, BufferSpec, DownBuffers, EdgeBuffers, Phase, PropagationMode, Task,
-    TaskGraph, TaskId, TaskKind,
+    fresh_layout_id, BufferId, BufferInit, BufferSpec, DownBuffers, EdgeBuffers, Phase,
+    PropagationMode, Task, TaskGraph, TaskId, TaskKind,
 };
 use crate::plan_cache::PlanCache;
 use evprop_jtree::{CliqueId, TreeShape};
 use evprop_potential::EntryRange;
+use std::sync::OnceLock;
 
 /// Each junction-tree edge expands into 8 tasks: the 4-primitive chain of
 /// the collect message plus the 4-primitive chain of the distribute
@@ -58,6 +59,8 @@ impl TaskGraph {
             clique_buffers: Vec::with_capacity(n),
             edge_buffers: vec![None; n],
             plans: PlanCache::new(),
+            layout_id: fresh_layout_id(),
+            resolved: OnceLock::new(),
         };
 
         // clique potentials occupy buffers 0..n

@@ -6,7 +6,8 @@ use evprop_potential::plan::KernelPlan;
 use evprop_potential::{Domain, EntryRange, PrimitiveKind};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Index of a task in a [`TaskGraph`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -256,6 +257,21 @@ pub struct TaskGraph {
     /// Interned kernel plans compiled at build time (plus lazily
     /// interned δ-subrange plans the scheduler adds at run time).
     pub(crate) plans: PlanCache,
+    /// Identity of the buffer table: graphs with equal ids have equal
+    /// `buffers` (a clone or a slice scaffold of one build), so an arena
+    /// can recognize its graph without walking the domains. Graphs with
+    /// different ids may still share a layout.
+    pub(crate) layout_id: u64,
+    /// Every task's full-range plan, resolved through `plans` by the
+    /// first [`TaskGraph::task_plan_ref`] and borrowed from then on.
+    /// Indexed by task id, so whatever reassigns task ids must clear it.
+    pub(crate) resolved: OnceLock<Vec<Option<Arc<KernelPlan>>>>,
+}
+
+/// A process-wide fresh [`TaskGraph::layout_id`].
+pub(crate) fn fresh_layout_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl TaskGraph {
@@ -365,6 +381,29 @@ impl TaskGraph {
     /// The full-range compiled plan of task `t` (`None` for `Divide`).
     pub fn task_plan(&self, t: TaskId) -> Option<Arc<KernelPlan>> {
         self.tasks[t.index()].plan.map(|id| self.plans.get(id))
+    }
+
+    /// [`task_plan`](Self::task_plan) without the per-call cache lock
+    /// and `Arc` traffic — the executors' per-task lookup. The first
+    /// call resolves (and so compiles) the full-range plan of **every**
+    /// task into a table the graph keeps; later calls index it.
+    pub fn task_plan_ref(&self, t: TaskId) -> Option<&KernelPlan> {
+        let resolved = self.resolved.get_or_init(|| {
+            self.tasks
+                .iter()
+                .map(|task| task.plan.map(|id| self.plans.get(id)))
+                .collect()
+        });
+        resolved[t.index()].as_deref()
+    }
+
+    /// Identity of this graph's buffer table: equal ids imply equal
+    /// [`buffers`](Self::buffers) (clones and slice scaffolds keep their
+    /// origin's id), so an arena initialized for one is laid out for
+    /// the other. Different ids imply nothing.
+    #[inline]
+    pub fn layout_id(&self) -> u64 {
+        self.layout_id
     }
 
     /// The compiled plan for subrange `range` of task `t`, interned on
@@ -508,6 +547,8 @@ impl TaskGraph {
             // (and the plan ids stored on the copied tasks) carry over
             // unchanged.
             plans: self.plans.clone(),
+            layout_id: fresh_layout_id(),
+            resolved: OnceLock::new(),
         }
     }
 

@@ -187,15 +187,18 @@ impl TaskGraph {
             clique_buffers: self.clique_buffers.clone(),
             edge_buffers: self.edge_buffers.clone(),
             plans: self.plans.clone(),
+            layout_id: self.layout_id,
+            resolved: std::sync::OnceLock::new(),
         }
     }
 
     /// Rebuilds the dirty-slice task list for `plan` **into**
     /// `scratch`, a scaffold previously obtained from
     /// [`TaskGraph::slice_scaffold`] on this same graph. The scratch
-    /// graph's tasks, dependency edges, and per-task plan memo are
-    /// cleared (task ids are reassigned on every rebuild); its buffer
-    /// table and interned plan shapes — the expensive parts — are kept.
+    /// graph's tasks, dependency edges, per-task plan memo and resolved
+    /// plan table are cleared (task ids are reassigned on every
+    /// rebuild); its buffer table and interned plan shapes — the
+    /// expensive parts — are kept.
     ///
     /// # Panics
     ///
@@ -213,6 +216,7 @@ impl TaskGraph {
         scratch.succ.clear();
         scratch.pred_count.clear();
         scratch.plans.reset_memo();
+        scratch.resolved.take();
         let g = scratch;
         let mut hz = Hazards::new(g.buffers.len());
 
@@ -487,6 +491,32 @@ mod tests {
             .rposition(|&t| slice.task(t).kind.primitive() == PrimitiveKind::Marginalize)
             .unwrap();
         assert!(div_pos < second_marg_pos);
+    }
+
+    /// `slice_into` reassigns task ids, so the resolved-plan table of
+    /// the previous rebuild must not answer for the next one.
+    #[test]
+    fn resolved_plans_follow_the_rebuilt_task_list() {
+        let shape = path4();
+        let full = TaskGraph::from_shape(&shape);
+        let mut scratch = full.slice_scaffold();
+        let plans = [
+            SlicePlan {
+                recollect: vec![true, true, true, true],
+                path: vec![],
+            },
+            SlicePlan {
+                recollect: vec![true, false, false, false],
+                path: vec![(CliqueId(1), EdgeUpdate::Stale)],
+            },
+        ];
+        for plan in &plans {
+            full.slice_into(&mut scratch, &shape, plan);
+            assert!(scratch.num_tasks() > 0);
+            for t in (0..scratch.num_tasks()).map(TaskId) {
+                assert_eq!(scratch.task_plan_ref(t), scratch.task_plan(t).as_deref());
+            }
+        }
     }
 
     #[test]

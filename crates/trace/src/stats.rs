@@ -10,7 +10,10 @@ use std::time::Duration;
 #[derive(Clone, Debug, Default)]
 pub struct ThreadStats {
     /// Time spent executing node-level primitives ("computation time" in
-    /// the paper's Fig. 8 terminology).
+    /// the paper's Fig. 8 terminology). A one-worker job that no sink
+    /// records reads one clock pair around its whole walk instead of
+    /// one per task, so there `busy` also holds the walk's ready-ring
+    /// and dependency-counter upkeep.
     pub busy: Duration,
     /// Time spent in the scheduler itself: fetching, allocating,
     /// partitioning, waiting.

@@ -108,19 +108,27 @@ fn real_scheduler_and_simulator_agree_on_load_balance() {
     use evprop::sched::{run_collaborative, SchedulerConfig, TableArena};
     use evprop::workloads::materialize;
 
+    // No more workers than the host can run at once. Allocate gives a
+    // descheduled worker less — correctly: its weight counter stops
+    // falling — so with four workers on two vCPUs the real half
+    // measured the hypervisor, not the scheduler (11 failures in 40
+    // debug runs). The simulator runs the same count, so both halves
+    // speak about one configuration and both bounds stay.
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
+
     let shape = random_tree(&TreeParams::new(128, 8, 2, 4).with_seed(2));
     let g = TaskGraph::from_shape(&shape);
     let model = CostModel::default();
-    let sim = simulate(&g, Policy::collaborative_unpartitioned(), 4, &model);
+    let sim = simulate(&g, Policy::collaborative_unpartitioned(), workers, &model);
     assert!(sim.imbalance() < 1.25, "sim imbalance {}", sim.imbalance());
 
     let jt = materialize(&shape, 2);
     let arena = TableArena::initialize(&g, jt.potentials(), &EvidenceSet::new());
-    let cfg = SchedulerConfig::with_threads(4).without_partitioning();
+    let cfg = SchedulerConfig::with_threads(workers).without_partitioning();
     let report = run_collaborative(&g, &arena, &cfg);
     assert!(
         report.imbalance() < 1.6,
-        "real imbalance {}",
+        "real imbalance {} on {workers} workers",
         report.imbalance()
     );
 }
