@@ -10,6 +10,11 @@
 //! evprop session-bench <file.bif> [--steps N] [--threads P] [--seed S]
 //! evprop simulate --cliques N --width W --states R --degree K [--cores P]...
 //! ```
+//!
+//! `serve --listen` has one boot path: it always serves from a model
+//! registry whose default alias is the positional network (`--model`
+//! adds models, `--model-budget-mb` bounds them). The scheduler's
+//! recording hooks are always compiled; `evprop trace` attaches a sink.
 
 use evprop_bayesnet::bif::{self, BifNetwork};
 use evprop_bayesnet::networks;
@@ -169,12 +174,19 @@ fn positive_flags(args: &[String], name: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
-/// `--threads P`, defaulting to the host's parallelism.
-fn threads_flag(args: &[String]) -> Result<usize, String> {
-    Ok(positive_flags(args, "--threads")?
+/// The first value of a count flag (positive, see [`positive_flags`]),
+/// or `default` when the flag is absent.
+fn positive_flag(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    Ok(positive_flags(args, name)?
         .first()
         .copied()
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get())))
+        .unwrap_or(default))
+}
+
+/// `--threads P`, defaulting to the host's parallelism.
+fn threads_flag(args: &[String]) -> Result<usize, String> {
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    positive_flag(args, "--threads", host)
 }
 
 fn make_engine(args: &[String]) -> Result<Box<dyn Engine>, String> {
@@ -373,17 +385,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// and answer newline-delimited JSON queries over TCP until killed or
 /// drained (`{"cmd": "drain"}` closes admission, answers everything
 /// already admitted bounded by `--drain-timeout-ms`, and exits).
-///
-/// Plain invocations serve the positional network on the pre-registry
-/// single-model path. Any `--model NAME=PATH` (repeatable) or
-/// `--model-budget-mb MB` flag boots a model registry instead: the
-/// positional network becomes the default model (alias = its BIF
-/// name), the extra models load alongside it, and the protocol's
-/// `model-load` / `model-swap` / `model-unload` / `model-list`
-/// commands manage versions while serving.
 fn cmd_serve_listen(bif: BifNetwork, addr: &str, args: &[String]) -> Result<(), String> {
-    use evprop_registry::ModelRegistry;
-    use evprop_serve::{RuntimeConfig, ServerOptions, ShardedRuntime, TcpServer};
+    use evprop_serve::{ServerOptions, TcpServer};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -393,19 +396,10 @@ fn cmd_serve_listen(bif: BifNetwork, addr: &str, args: &[String]) -> Result<(), 
             None => Ok(default),
         }
     };
-    let shards = parse_flag("--shards", 2)?;
-    let threads_per_shard = parse_flag("--threads-per-shard", 1)?;
-    let mut config = RuntimeConfig::new(shards.max(1), threads_per_shard.max(1))
-        .with_queue_depth(parse_flag("--queue-depth", 64)?.max(1))
-        .with_max_batch(parse_flag("--batch", 8)?.max(1));
-    if args.iter().any(|a| a == "--no-partitioning") {
-        config = config.without_partitioning();
-    }
-
     let defaults = ServerOptions::default();
     let drain_timeout = Duration::from_millis(parse_flag("--drain-timeout-ms", 5_000)? as u64);
     let options = ServerOptions {
-        max_conns: parse_flag("--max-conns", defaults.max_conns)?.max(1),
+        max_conns: positive_flag(args, "--max-conns", defaults.max_conns)?,
         max_line_bytes: parse_flag("--max-line-bytes", defaults.max_line_bytes)?.max(64),
         read_timeout: match flag_value(args, "--idle-timeout-ms") {
             Some(v) => Some(Duration::from_millis(
@@ -417,52 +411,8 @@ fn cmd_serve_listen(bif: BifNetwork, addr: &str, args: &[String]) -> Result<(), 
         write_timeout: defaults.write_timeout,
     };
 
-    let extra_models = flag_values(args, "--model");
-    let budget_mb = match flag_value(args, "--model-budget-mb") {
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| format!("bad --model-budget-mb '{v}'"))?,
-        ),
-        None => None,
-    };
-    let registry_mode = !extra_models.is_empty() || budget_mb.is_some();
-
-    let session = InferenceSession::from_network(&bif.network).map_err(|e| e.to_string())?;
-    let runtime = if registry_mode {
-        let mut registry = ModelRegistry::new();
-        if let Some(mb) = budget_mb {
-            registry = registry.with_budget_mb(mb);
-        }
-        let registry = Arc::new(registry);
-        let default_name = bif.name.clone();
-        registry
-            .install(
-                &default_name,
-                Arc::clone(session.model()),
-                Arc::new(bif.clone()),
-            )
-            .map_err(|e| format!("install {default_name}: {e}"))?;
-        for spec in &extra_models {
-            let (name, path) = spec
-                .split_once('=')
-                .ok_or_else(|| format!("bad --model '{spec}': expected NAME=PATH"))?;
-            let extra = load(path)?;
-            let extra_session =
-                InferenceSession::from_network(&extra.network).map_err(|e| e.to_string())?;
-            registry
-                .install(name, Arc::clone(extra_session.model()), Arc::new(extra))
-                .map_err(|e| format!("install {name}: {e}"))?;
-            eprintln!("loaded model {name} from {path}");
-        }
-        Arc::new(
-            ShardedRuntime::with_registry(registry, &default_name, config)
-                .map_err(|e| e.to_string())?,
-        )
-    } else {
-        Arc::new(ShardedRuntime::new(session, config))
-    };
-    let names = Arc::new(bif);
-    let mut server = TcpServer::bind_with(addr, Arc::clone(&runtime), names, options)
+    let runtime = boot_serve_runtime(&bif, args)?;
+    let mut server = TcpServer::bind_with(addr, Arc::clone(&runtime), Arc::new(bif), options)
         .map_err(|e| format!("bind {addr}: {e}"))?;
     println!(
         "listening on {} [{} shard(s) x {} thread(s), queue depth {}, batch {}{}]",
@@ -471,10 +421,9 @@ fn cmd_serve_listen(bif: BifNetwork, addr: &str, args: &[String]) -> Result<(), 
         runtime.config().threads_per_shard,
         runtime.config().queue_depth,
         runtime.config().max_batch,
-        match (registry_mode, budget_mb) {
-            (true, Some(mb)) => format!(", registry budget {mb} MB"),
-            (true, None) => ", registry".to_string(),
-            (false, _) => String::new(),
+        match runtime.registry().and_then(|r| r.budget_bytes()) {
+            Some(bytes) => format!(", model budget {} MB", bytes >> 20),
+            None => String::new(),
         },
     );
     // Serve until the process is killed — or until some client sends
@@ -496,6 +445,58 @@ fn cmd_serve_listen(bif: BifNetwork, addr: &str, args: &[String]) -> Result<(), 
         );
     }
     Ok(())
+}
+
+/// The runtime every `serve --listen` invocation answers from: a model
+/// registry holding the positional network as the default alias (under
+/// its BIF name) plus one model per `--model NAME=PATH`, evicting
+/// under `--model-budget-mb MB` when given. The protocol's
+/// `model-load` / `model-swap` / `model-unload` / `model-list`
+/// commands manage versions while serving.
+fn boot_serve_runtime(
+    bif: &BifNetwork,
+    args: &[String],
+) -> Result<std::sync::Arc<evprop_serve::ShardedRuntime>, String> {
+    use evprop_registry::ModelRegistry;
+    use evprop_serve::{RuntimeConfig, ShardedRuntime};
+    use std::sync::Arc;
+
+    let mut config = RuntimeConfig::new(
+        positive_flag(args, "--shards", 2)?,
+        positive_flag(args, "--threads-per-shard", 1)?,
+    )
+    .with_queue_depth(positive_flag(args, "--queue-depth", 64)?)
+    .with_max_batch(positive_flag(args, "--batch", 8)?);
+    if args.iter().any(|a| a == "--no-partitioning") {
+        config = config.without_partitioning();
+    }
+
+    let mut registry = ModelRegistry::new();
+    if let Some(v) = flag_value(args, "--model-budget-mb") {
+        let mb = v
+            .parse::<u64>()
+            .map_err(|_| format!("bad --model-budget-mb '{v}'"))?;
+        registry = registry.with_budget_mb(mb);
+    }
+    let registry = Arc::new(registry);
+    let install = |name: &str, bif: BifNetwork| -> Result<(), String> {
+        let session = InferenceSession::from_network(&bif.network).map_err(|e| e.to_string())?;
+        registry
+            .install(name, Arc::clone(session.model()), Arc::new(bif))
+            .map(|_| ())
+            .map_err(|e| format!("install {name}: {e}"))
+    };
+    install(&bif.name, bif.clone())?;
+    for spec in flag_values(args, "--model") {
+        let (name, path) = spec
+            .split_once('=')
+            .ok_or_else(|| format!("bad --model '{spec}': expected NAME=PATH"))?;
+        install(name, load(path)?)?;
+        eprintln!("loaded model {name} from {path}");
+    }
+    ShardedRuntime::with_registry(Arc::clone(&registry), &bif.name, config)
+        .map(Arc::new)
+        .map_err(|e| e.to_string())
 }
 
 /// `evprop session-bench`: replay an interactive evidence-churn stream
@@ -1068,6 +1069,52 @@ mod tests {
             cmd_query(&s(&[&f, "--target", "v3", "--threads", "x"])),
             "--threads",
         );
+        for flag in [
+            "--shards",
+            "--threads-per-shard",
+            "--queue-depth",
+            "--batch",
+            "--max-conns",
+        ] {
+            rejects(
+                cmd_serve(&s(&[&f, "--listen", "127.0.0.1:0", flag, "0"])),
+                flag,
+            );
+        }
+    }
+
+    /// The plain invocation (no `--model`) boots a registry too: the
+    /// positional network is listed under its BIF name and answers
+    /// both unnamed and named requests.
+    #[test]
+    fn plain_serve_boots_a_registry_with_the_positional_network() {
+        use std::io::{BufRead, BufReader, Write};
+        let bif = load(&asia_file()).unwrap();
+        let runtime = boot_serve_runtime(&bif, &s(&["--shards", "1"])).unwrap();
+        assert_eq!(runtime.default_model(), Some("asia"));
+        let mut server = evprop_serve::TcpServer::bind(
+            "127.0.0.1:0",
+            std::sync::Arc::clone(&runtime),
+            std::sync::Arc::new(bif),
+        )
+        .unwrap();
+        let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut ask = |request: &str| {
+            writeln!(&stream, "{request}").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line
+        };
+        let list = ask(r#"{"cmd": "model-list"}"#);
+        assert!(
+            list.starts_with(r#"{"models":[{"name":"asia","alias":1,"#),
+            "got: {list}"
+        );
+        let plain = ask(r#"{"target": "v3"}"#);
+        assert!(plain.contains("\"marginal\"") && !plain.contains("\"model\""));
+        assert!(ask(r#"{"model": "asia", "target": "v3"}"#).contains(r#""model":"asia@v1""#));
+        server.stop();
     }
 
     /// Every `"--flag"` literal the parser matches is documented in the

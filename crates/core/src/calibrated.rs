@@ -51,19 +51,7 @@ impl Calibrated {
     /// [`EngineError::VariableNotInTree`] if no clique contains `var`;
     /// [`EngineError::ImpossibleEvidence`] if `P(e) = 0`.
     pub fn marginal(&self, var: VarId) -> Result<PotentialTable> {
-        let c = (0..self.shape.num_cliques())
-            .map(CliqueId)
-            .filter(|&c| self.shape.domain(c).contains(var))
-            .min_by_key(|&c| self.shape.domain(c).size())
-            .ok_or(EngineError::VariableNotInTree(var))?;
-        let table = &self.cliques[c.index()];
-        let sub = table.domain().project(&[var]);
-        let mut m = table.marginalize(&sub)?;
-        if m.sum() <= 0.0 {
-            return Err(EngineError::ImpossibleEvidence);
-        }
-        m.normalize();
-        Ok(m)
+        self.joint_marginal(&[var])
     }
 
     /// Normalized posteriors for **every** variable in the tree, sorted
@@ -98,21 +86,8 @@ impl Calibrated {
     /// if no clique contains the whole set;
     /// [`EngineError::ImpossibleEvidence`] if the restricted mass is zero.
     pub fn joint_marginal(&self, vars: &[VarId]) -> Result<PotentialTable> {
-        let c = (0..self.shape.num_cliques())
-            .map(CliqueId)
-            .filter(|&c| vars.iter().all(|&v| self.shape.domain(c).contains(v)))
-            .min_by_key(|&c| self.shape.domain(c).size())
-            .ok_or_else(|| {
-                EngineError::VariableNotInTree(vars.first().copied().unwrap_or(VarId(u32::MAX)))
-            })?;
-        let table = &self.cliques[c.index()];
-        let sub = table.domain().project(vars);
-        let mut m = table.marginalize(&sub)?;
-        if m.sum() <= 0.0 {
-            return Err(EngineError::ImpossibleEvidence);
-        }
-        m.normalize();
-        Ok(m)
+        let c = covering_clique(&self.shape, vars)?;
+        read_out(&self.cliques[c.index()], vars)
     }
 
     /// Maximum absolute disagreement between two calibrated results over
@@ -157,6 +132,35 @@ impl Calibrated {
             })
             .fold(0.0, f64::max)
     }
+}
+
+/// The clique every query path reads `vars` out of: the smallest one
+/// covering the whole set.
+///
+/// # Errors
+///
+/// [`EngineError::VariableNotInTree`] (reporting the first variable) if
+/// no clique contains the whole set.
+pub fn covering_clique(shape: &TreeShape, vars: &[VarId]) -> Result<CliqueId> {
+    shape.smallest_clique_covering(vars).ok_or_else(|| {
+        EngineError::VariableNotInTree(vars.first().copied().unwrap_or(VarId(u32::MAX)))
+    })
+}
+
+/// The one read-out: the normalized posterior over `vars` from a
+/// calibrated clique table `P(C, e)` whose domain covers them.
+///
+/// # Errors
+///
+/// [`EngineError::ImpossibleEvidence`] if the table's mass is zero.
+pub fn read_out(table: &PotentialTable, vars: &[VarId]) -> Result<PotentialTable> {
+    let sub = table.domain().project(vars);
+    let mut m = table.marginalize(&sub)?;
+    if m.sum() <= 0.0 {
+        return Err(EngineError::ImpossibleEvidence);
+    }
+    m.normalize();
+    Ok(m)
 }
 
 impl fmt::Debug for Calibrated {

@@ -51,7 +51,7 @@ mod sequential;
 mod session;
 mod shard;
 
-pub use calibrated::Calibrated;
+pub use calibrated::{covering_clique, read_out, Calibrated};
 pub use calibrated_state::CalibratedState;
 pub use engine::Engine;
 pub use error::EngineError;

@@ -10,20 +10,21 @@
 //! the plans are compiled once and every pool, shard and dispatcher
 //! executes through the same interned index maps.
 
-use crate::Result;
+use crate::{CalibratedState, Result};
 use evprop_bayesnet::BayesianNetwork;
 use evprop_jtree::{select_root, JunctionTree, RootChoice};
 use evprop_taskgraph::{PlanCacheStats, PropagationMode, TaskGraph};
-use std::sync::OnceLock;
+use parking_lot::Mutex;
+use std::sync::{Arc, OnceLock};
 
 /// A compiled inference model: the re-rooted junction tree, its
 /// sum-product task graph (with interned [`KernelPlan`]s), and a
 /// lazily-built max-product twin for MPE queries.
 ///
-/// Immutable after construction apart from two append-only caches —
-/// the max-product graph's one-time initialization and the plan
-/// caches' internal memo — both safe to share: hand out
-/// `Arc<CompiledModel>` clones freely.
+/// Immutable after construction apart from three append-only caches —
+/// the max-product graph's one-time initialization, the plan caches'
+/// internal memo and the session-base calibration — all safe to share:
+/// hand out `Arc<CompiledModel>` clones freely.
 ///
 /// [`KernelPlan`]: evprop_potential::KernelPlan
 #[derive(Debug)]
@@ -33,6 +34,9 @@ pub struct CompiledModel {
     root_choice: RootChoice,
     /// Max-product task graph, built on first MPE query.
     max_graph: OnceLock<TaskGraph>,
+    /// Empty-evidence calibration, computed by the first session opened
+    /// against this model and copied into every later one.
+    session_base: Mutex<Option<Arc<CalibratedState>>>,
 }
 
 impl CompiledModel {
@@ -59,6 +63,7 @@ impl CompiledModel {
             graph,
             root_choice,
             max_graph: OnceLock::new(),
+            session_base: Mutex::new(None),
         }
     }
 
@@ -75,6 +80,7 @@ impl CompiledModel {
             graph,
             root_choice,
             max_graph: OnceLock::new(),
+            session_base: Mutex::new(None),
         }
     }
 
@@ -94,6 +100,28 @@ impl CompiledModel {
         self.max_graph.get_or_init(|| {
             TaskGraph::from_shape_mode(self.jt.shape(), PropagationMode::MaxProduct)
         })
+    }
+
+    /// The cached empty-evidence calibration of this model, computing
+    /// it via `init` on first use — opening a session then costs one
+    /// buffer copy instead of one full propagation. `init` runs under
+    /// the cache's lock, so the calibration happens at most once per
+    /// model. Not part of [`CompiledModel::resident_bytes`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates `init`'s error (nothing is cached then).
+    pub fn session_base_with<E>(
+        &self,
+        init: impl FnOnce() -> std::result::Result<CalibratedState, E>,
+    ) -> std::result::Result<Arc<CalibratedState>, E> {
+        let mut base = self.session_base.lock();
+        if let Some(b) = base.as_ref() {
+            return Ok(Arc::clone(b));
+        }
+        let snapshot = Arc::new(init()?);
+        *base = Some(Arc::clone(&snapshot));
+        Ok(snapshot)
     }
 
     /// The root selected at construction and its critical-path weight.
@@ -145,7 +173,6 @@ impl CompiledModel {
 mod tests {
     use super::*;
     use evprop_bayesnet::networks;
-    use std::sync::Arc;
 
     #[test]
     fn one_model_is_shared_not_copied() {
@@ -158,6 +185,38 @@ mod tests {
         let b = Arc::clone(&model);
         assert!(std::ptr::eq(a.graph(), b.graph()));
         assert_eq!(model.plan_stats().interned, interned as u64);
+    }
+
+    #[test]
+    fn session_base_is_computed_once_and_not_counted_resident() {
+        use crate::ShardState;
+        use evprop_potential::EvidenceSet;
+        use evprop_sched::TableArena;
+
+        let model = CompiledModel::from_network(&networks::asia()).unwrap();
+        let calibrate = || {
+            let mut arena = TableArena::initialize(
+                model.graph(),
+                model.junction_tree().potentials(),
+                &EvidenceSet::new(),
+            );
+            ShardState::with_threads(1)
+                .run_job(model.graph(), &arena)
+                .unwrap();
+            CalibratedState::capture(model.graph(), &mut arena, EvidenceSet::new())
+        };
+        calibrate(); // compiles every plan, so `resident_bytes` is settled
+        let resident = model.resident_bytes();
+        let mut calls = 0;
+        let mut make = || -> std::result::Result<CalibratedState, ()> {
+            calls += 1;
+            Ok(calibrate())
+        };
+        let a = model.session_base_with(&mut make).unwrap();
+        let b = model.session_base_with(&mut make).unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(calls, 1);
+        assert_eq!(model.resident_bytes(), resident);
     }
 
     #[test]

@@ -193,25 +193,15 @@ impl InferenceSession {
         var: VarId,
         evidence: &EvidenceSet,
     ) -> Result<PotentialTable> {
-        let target = self
-            .junction_tree()
-            .clique_containing(var)
-            .ok_or(crate::EngineError::VariableNotInTree(var))?;
         let mut shape = self.junction_tree().shape().clone();
+        let target = crate::covering_clique(&shape, &[var])?;
         shape
             .reroot(target)
-            .expect("clique_containing returns in-range ids");
+            .expect("covering_clique returns in-range ids");
         let graph = TaskGraph::collect_only(&shape, PropagationMode::SumProduct);
         let calibrated = engine.propagate_graph(self.junction_tree(), &graph, evidence)?;
         // only the target clique is calibrated; marginalize from it
-        let table = calibrated.clique(target);
-        let sub = table.domain().project(&[var]);
-        let mut m = table.marginalize(&sub)?;
-        if m.sum() <= 0.0 {
-            return Err(crate::EngineError::ImpossibleEvidence);
-        }
-        m.normalize();
-        Ok(m)
+        crate::read_out(calibrated.clique(target), &[var])
     }
 }
 

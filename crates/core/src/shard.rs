@@ -9,7 +9,7 @@
 //! runs one job at a time, so its arenas are never aliased across
 //! concurrent jobs.
 
-use crate::{Calibrated, Engine, EngineError, Result};
+use crate::{covering_clique, read_out, Calibrated, Engine, EngineError, Result};
 use evprop_jtree::{CliqueId, JunctionTree};
 use evprop_potential::{EvidenceSet, PotentialTable, VarId};
 use evprop_sched::{CancelToken, CollabPool, JobError, RunReport, SchedulerConfig, TableArena};
@@ -63,7 +63,6 @@ pub struct ShardState {
     arenas_allocated: AtomicU64,
     /// Attached span sink plus the shard index query spans are tagged
     /// with; also forwarded to the pool for worker-level events.
-    #[cfg(feature = "trace")]
     trace: Mutex<Option<(std::sync::Arc<evprop_trace::TraceSink>, u32)>>,
 }
 
@@ -87,7 +86,6 @@ impl ShardState {
             arenas: Mutex::new(Vec::new()),
             last_report: Mutex::new(None),
             arenas_allocated: AtomicU64::new(0),
-            #[cfg(feature = "trace")]
             trace: Mutex::new(None),
         }
     }
@@ -97,13 +95,11 @@ impl ShardState {
     /// records arena checkouts and `Query` spans — tagged with
     /// `shard` — on its control row. Size the sink with
     /// [`evprop_trace::TraceSink::for_workers`]`(num_threads(), …)`.
-    #[cfg(feature = "trace")]
     pub fn attach_trace(&self, sink: Option<std::sync::Arc<evprop_trace::TraceSink>>, shard: u32) {
         self.pool.set_trace_sink(sink.clone());
         *self.trace.lock() = sink.map(|s| (s, shard));
     }
 
-    #[cfg(feature = "trace")]
     fn trace_span(&self, kind: impl FnOnce(u32) -> evprop_trace::SpanKind, t0: std::time::Instant) {
         if let Some((sink, shard)) = self.trace.lock().as_ref() {
             sink.control()
@@ -115,7 +111,6 @@ impl ShardState {
     /// this shard's attached sink (no-op while detached) — how the
     /// serving runtime drops counter snapshots, e.g. plan-cache
     /// hit/miss totals, into exported timelines.
-    #[cfg(feature = "trace")]
     pub fn trace_instant(&self, kind: evprop_trace::SpanKind) {
         if let Some((sink, _)) = self.trace.lock().as_ref() {
             sink.control().instant(kind, sink.clock().now_ns());
@@ -174,7 +169,6 @@ impl ShardState {
     /// query's evidence — [`ShardState::posterior_on`] does — and hand
     /// it back via [`ShardState::recycle`].
     pub fn checkout(&self, graph: &TaskGraph, clique_potentials: &[PotentialTable]) -> TableArena {
-        #[cfg(feature = "trace")]
         let t0 = std::time::Instant::now();
         let cached = {
             let mut cache = self.arenas.lock();
@@ -183,7 +177,7 @@ impl ShardState {
                 .position(|a| a.matches(graph))
                 .map(|i| cache.swap_remove(i))
         };
-        let (arena, _fresh) = match cached {
+        let (arena, fresh) = match cached {
             Some(a) => (a, false),
             None => {
                 self.arenas_allocated.fetch_add(1, Ordering::Relaxed);
@@ -193,11 +187,7 @@ impl ShardState {
                 )
             }
         };
-        #[cfg(feature = "trace")]
-        self.trace_span(
-            |_| evprop_trace::SpanKind::ArenaCheckout { fresh: _fresh },
-            t0,
-        );
+        self.trace_span(|_| evprop_trace::SpanKind::ArenaCheckout { fresh }, t0);
         arena
     }
 
@@ -256,28 +246,6 @@ impl ShardState {
         }
     }
 
-    /// Runs a **dirty-slice job** on the resident pool: `slice` must
-    /// share the full graph's buffer table (see
-    /// [`TaskGraph::incremental_slice`](evprop_taskgraph::TaskGraph::incremental_slice)),
-    /// and `arena` must hold the session's resident calibrated state
-    /// with the re-collected cliques already partially reset
-    /// ([`TableArena::reset_cliques`]). This is the incremental
-    /// engine's execution entry point; it differs from
-    /// [`ShardState::run_job`] only in documentation and in asserting
-    /// the buffer-layout contract eagerly.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::WorkerPanicked`] if a worker thread panicked.
-    pub fn run_slice(&self, slice: &TaskGraph, arena: &TableArena) -> Result<()> {
-        assert_eq!(
-            slice.buffers().len(),
-            arena.len(),
-            "slice graphs must share the full graph's buffer table"
-        );
-        self.run_job(slice, arena)
-    }
-
     /// Answers one query **on a caller-held arena**: resets the arena
     /// with the query's evidence, propagates, and marginalizes `var`
     /// straight out of the buffer of the smallest clique covering it —
@@ -324,10 +292,8 @@ impl ShardState {
         evidence: &EvidenceSet,
         cancel: Option<&CancelToken>,
     ) -> Result<PotentialTable> {
-        #[cfg(feature = "trace")]
         let t0 = std::time::Instant::now();
         let result = self.posterior_on_impl(jt, graph, arena, var, evidence, cancel);
-        #[cfg(feature = "trace")]
         self.trace_span(|shard| evprop_trace::SpanKind::Query { shard }, t0);
         result
     }
@@ -341,11 +307,7 @@ impl ShardState {
         evidence: &EvidenceSet,
         cancel: Option<&CancelToken>,
     ) -> Result<PotentialTable> {
-        let target = (0..jt.num_cliques())
-            .map(CliqueId)
-            .filter(|&c| jt.shape().domain(c).contains(var))
-            .min_by_key(|&c| jt.shape().domain(c).size())
-            .ok_or(EngineError::VariableNotInTree(var))?;
+        let target = covering_clique(jt.shape(), &[var])?;
         // The unconditional reset is also the self-heal after a
         // cancelled or panicked predecessor left this arena dirty.
         arena.reset(graph, jt.potentials(), evidence);
@@ -353,14 +315,10 @@ impl ShardState {
             Some(token) => self.run_job_cancellable(graph, arena, token)?,
             None => self.run_job(graph, arena)?,
         }
-        let table = &arena.tables_mut()[graph.clique_buffer(target).index()];
-        let sub = table.domain().project(&[var]);
-        let mut m = table.marginalize(&sub)?;
-        if m.sum() <= 0.0 {
-            return Err(EngineError::ImpossibleEvidence);
-        }
-        m.normalize();
-        Ok(m)
+        read_out(
+            &arena.tables_mut()[graph.clique_buffer(target).index()],
+            &[var],
+        )
     }
 
     /// Checkout–answer–recycle convenience for a single query.

@@ -1,7 +1,9 @@
 //! The stateful session: resident arena, evidence deltas, dirty-slice
 //! queries.
 
-use evprop_core::{CalibratedState, CompiledModel, EngineError, Result, ShardState};
+use evprop_core::{
+    covering_clique, read_out, CalibratedState, CompiledModel, EngineError, Result, ShardState,
+};
 use evprop_jtree::CliqueId;
 use evprop_potential::{EvidenceSet, PotentialTable, VarId};
 use evprop_sched::TableArena;
@@ -301,14 +303,13 @@ impl IncrementalSession {
     /// resident state is dropped; the next query re-propagates fully).
     pub fn query(&mut self, shard: &ShardState, var: VarId) -> Result<(PotentialTable, QueryMode)> {
         let model = Arc::clone(&self.model);
-        let shape = model.junction_tree().shape();
-        let target = (0..shape.num_cliques())
-            .map(CliqueId)
-            .filter(|&c| shape.domain(c).contains(var))
-            .min_by_key(|&c| shape.domain(c).size())
-            .ok_or(EngineError::VariableNotInTree(var))?;
+        let target = covering_clique(model.junction_tree().shape(), &[var])?;
         let mode = self.bring_current(shard, target)?;
-        let table = self.marginal_of(target, var)?;
+        let arena = self.arena.as_mut().expect("bring_current left an arena");
+        let table = read_out(
+            &arena.tables_mut()[model.graph().clique_buffer(target).index()],
+            &[var],
+        )?;
         self.stats.record(mode);
         Ok((table, mode))
     }
@@ -440,7 +441,7 @@ impl IncrementalSession {
             .get_or_insert_with(|| graph.slice_scaffold());
         graph.slice_into(slice, shape, &plan);
         if slice.num_tasks() > 0 {
-            if let Err(e) = shard.run_slice(slice, self.arena.as_ref().expect("checked above")) {
+            if let Err(e) = shard.run_job(slice, self.arena.as_ref().expect("checked above")) {
                 // The arena may hold partially-written buffers; drop it
                 // so the next query rebuilds from scratch.
                 self.arena = None;
@@ -508,20 +509,6 @@ impl IncrementalSession {
         }
         self.sync = vec![CliqueSync::Calibrated { epoch: self.epoch }; jt.num_cliques()];
         Ok(())
-    }
-
-    fn marginal_of(&mut self, target: CliqueId, var: VarId) -> Result<PotentialTable> {
-        let model = Arc::clone(&self.model);
-        let graph = model.graph();
-        let arena = self.arena.as_mut().expect("bring_current left an arena");
-        let table = &arena.tables_mut()[graph.clique_buffer(target).index()];
-        let sub = table.domain().project(&[var]);
-        let mut m = table.marginalize(&sub)?;
-        if m.sum() <= 0.0 {
-            return Err(EngineError::ImpossibleEvidence);
-        }
-        m.normalize();
-        Ok(m)
     }
 }
 

@@ -1,8 +1,6 @@
-//! Opt-in stress suite (`--features stress`): long evidence-churn
+//! Opt-in stress suite (`-- --ignored`): long evidence-churn
 //! sequences on wider random trees, high thread counts, every answer
 //! checked against a fresh sequential propagation.
-
-#![cfg(feature = "stress")]
 
 use evprop_core::{CompiledModel, Engine, SequentialEngine, ShardState};
 use evprop_incremental::IncrementalSession;
@@ -61,16 +59,19 @@ fn churn(seed: u64, n: usize, w: usize, k: usize, threads: usize, steps: usize) 
 }
 
 #[test]
+#[ignore = "stress"]
 fn long_churn_small_tree_many_threads() {
     churn(0xC0FFEE, 12, 4, 2, 8, 300);
 }
 
 #[test]
+#[ignore = "stress"]
 fn long_churn_wide_tree() {
     churn(0xBEEF, 48, 6, 3, 4, 150);
 }
 
 #[test]
+#[ignore = "stress"]
 fn long_churn_deep_chain() {
     churn(0xFACADE, 32, 3, 1, 2, 200);
 }

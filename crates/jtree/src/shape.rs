@@ -326,6 +326,17 @@ impl TreeShape {
     pub fn max_width(&self) -> usize {
         self.domains.iter().map(Domain::width).max().unwrap_or(0)
     }
+
+    /// The smallest clique whose domain contains every variable of
+    /// `vars` (lowest id among equals), or `None` if no clique covers
+    /// the set. Every read-out goes through this lookup, so all query
+    /// paths marginalize a variable out of the same clique.
+    pub fn smallest_clique_covering(&self, vars: &[VarId]) -> Option<CliqueId> {
+        (0..self.num_cliques())
+            .map(CliqueId)
+            .filter(|&c| vars.iter().all(|&v| self.domain(c).contains(v)))
+            .min_by_key(|&c| self.domain(c).size())
+    }
 }
 
 #[cfg(test)]

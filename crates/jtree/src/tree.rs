@@ -3,7 +3,7 @@
 
 use crate::{compile::compile_network, CliqueId, JtreeError, Result, TreeShape};
 use evprop_bayesnet::BayesianNetwork;
-use evprop_potential::{PotentialTable, VarId};
+use evprop_potential::PotentialTable;
 use std::fmt;
 
 /// A junction tree `J = (T, P̂)`: tree structure plus clique potentials.
@@ -103,16 +103,6 @@ impl JunctionTree {
         self.shape.reroot(new_root)
     }
 
-    /// Some clique whose domain contains `var` (the smallest such, which
-    /// minimizes marginalization cost for queries), or `None` if the
-    /// variable appears nowhere.
-    pub fn clique_containing(&self, var: VarId) -> Option<CliqueId> {
-        (0..self.num_cliques())
-            .map(CliqueId)
-            .filter(|&c| self.shape.domain(c).contains(var))
-            .min_by_key(|&c| self.shape.domain(c).size())
-    }
-
     /// Splits into parts (shape, potentials) — the inverse of
     /// [`JunctionTree::from_parts`].
     pub fn into_parts(self) -> (TreeShape, Vec<PotentialTable>) {
@@ -137,7 +127,7 @@ mod tests {
     use super::*;
     use crate::TreeShape;
     use evprop_bayesnet::networks::{asia, sprinkler};
-    use evprop_potential::{Domain, Variable};
+    use evprop_potential::{Domain, VarId, Variable};
 
     #[test]
     fn compile_sprinkler() {
@@ -162,7 +152,7 @@ mod tests {
         assert!(jt.num_cliques() >= 5);
         jt.shape().validate().unwrap();
         for i in 0..8u32 {
-            assert!(jt.clique_containing(VarId(i)).is_some());
+            assert!(jt.shape().smallest_clique_covering(&[VarId(i)]).is_some());
         }
         assert!(format!("{jt:?}").contains("cliques"));
     }

@@ -4,7 +4,6 @@ use crate::{ArenaView, CancelToken, RunReport, SchedulerConfig, TableArena, Thre
 use crossbeam::utils::Backoff;
 use evprop_potential::{raw, EntryRange, PotentialTable};
 use evprop_taskgraph::{PlanId, TaskGraph, TaskId, TaskKind};
-#[cfg(feature = "trace")]
 use evprop_trace::{PrimitiveKind, SpanKind, TraceSink};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -122,7 +121,6 @@ pub(crate) struct Shared<'g> {
     /// submitter records the job span on the control row. An `Arc`
     /// (not a borrow) so attaching a sink never narrows the job
     /// descriptor's `'g` lifetime.
-    #[cfg(feature = "trace")]
     trace: Option<Arc<TraceSink>>,
 }
 
@@ -194,7 +192,6 @@ impl<'g> Shared<'g> {
             subtasks: AtomicUsize::new(0),
             aborted: AtomicBool::new(false),
             cancel: None,
-            #[cfg(feature = "trace")]
             trace: None,
         };
         if p > 1 {
@@ -249,13 +246,11 @@ impl<'g> Shared<'g> {
     /// Attaches the sink workers record into. Must happen before any
     /// worker starts the job (the pool does it under its submission
     /// lock, pre-handoff).
-    #[cfg(feature = "trace")]
     pub(crate) fn set_trace(&mut self, sink: Option<Arc<TraceSink>>) {
         self.trace = sink;
     }
 
     /// Records the whole-job span on the sink's control row.
-    #[cfg(feature = "trace")]
     pub(crate) fn trace_job_span(&self, started: Instant, tasks: usize) {
         if let Some(sink) = &self.trace {
             sink.control().span(
@@ -269,7 +264,6 @@ impl<'g> Shared<'g> {
     }
 
     /// The recording handle worker `id` threads through its loop.
-    #[cfg(feature = "trace")]
     fn tracer(&self, id: usize) -> WorkerTracer<'_> {
         WorkerTracer {
             // Rows beyond the sink (a sink sized for fewer workers
@@ -279,11 +273,6 @@ impl<'g> Shared<'g> {
             row: id,
             idle_since: None,
         }
-    }
-
-    #[cfg(not(feature = "trace"))]
-    fn tracer(&self, _id: usize) -> WorkerTracer {
-        WorkerTracer
     }
 
     /// Post-job invariant: every ready list is empty and every weight
@@ -308,10 +297,8 @@ impl<'g> Shared<'g> {
 }
 
 /// Per-worker recording handle: buffers the current idle stretch and
-/// forwards scheduler events to the worker's sink row. Without the
-/// `trace` feature it is a zero-sized type whose methods are empty —
-/// the hot path carries no tracing code at all.
-#[cfg(feature = "trace")]
+/// forwards scheduler events to the worker's sink row. With no sink
+/// attached every method is one `Option` branch and records nothing.
 struct WorkerTracer<'s> {
     sink: Option<&'s TraceSink>,
     row: usize,
@@ -321,7 +308,6 @@ struct WorkerTracer<'s> {
     idle_since: Option<Instant>,
 }
 
-#[cfg(feature = "trace")]
 impl WorkerTracer<'_> {
     /// Whether events go anywhere — the one-worker walk reads per-task
     /// clocks only then.
@@ -387,7 +373,6 @@ impl WorkerTracer<'_> {
 }
 
 /// Destination buffer and primitive of a task kind, for span labels.
-#[cfg(feature = "trace")]
 fn task_target(kind: &TaskKind) -> (u32, PrimitiveKind) {
     match *kind {
         TaskKind::Marginalize { dst, max, .. } => (
@@ -402,23 +387,6 @@ fn task_target(kind: &TaskKind) -> (u32, PrimitiveKind) {
         TaskKind::Extend { dst, .. } => (dst.index() as u32, PrimitiveKind::Extend),
         TaskKind::Multiply { dst, .. } => (dst.index() as u32, PrimitiveKind::Multiply),
     }
-}
-
-#[cfg(not(feature = "trace"))]
-struct WorkerTracer;
-
-#[cfg(not(feature = "trace"))]
-impl WorkerTracer {
-    fn recording(&self) -> bool {
-        false
-    }
-    fn fetch(&self) {}
-    fn idle_begin(&mut self, _at: Instant) {}
-    fn work_resumed(&mut self) {}
-    fn partition(&self, _kind: &TaskKind, _parts: usize) {}
-    fn task(&self, _kind: &TaskKind, _weight: u64, _part: Option<u32>, _t0: Instant, _t1: Instant) {
-    }
-    fn finish(&mut self) {}
 }
 
 /// Runs two-phase evidence propagation: every task of `graph` executes

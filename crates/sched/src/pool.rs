@@ -179,7 +179,6 @@ pub struct CollabPool {
     submit: Mutex<JobScratch>,
     /// Sink attached to every subsequent job (worker rows + job spans
     /// on the control row).
-    #[cfg(feature = "trace")]
     trace: Mutex<Option<Arc<evprop_trace::TraceSink>>>,
     /// Worker handles, index = worker id. Behind a lock so the
     /// supervisor can swap a dead thread's handle for its replacement.
@@ -218,7 +217,6 @@ impl CollabPool {
         CollabPool {
             inner,
             submit: Mutex::new(JobScratch::default()),
-            #[cfg(feature = "trace")]
             trace: Mutex::new(None),
             handles: Mutex::new(handles),
             threads: p,
@@ -280,7 +278,6 @@ impl CollabPool {
     ///
     /// Takes effect from the next job (jobs already running keep the
     /// sink they started with).
-    #[cfg(feature = "trace")]
     pub fn set_trace_sink(&self, sink: Option<Arc<evprop_trace::TraceSink>>) {
         *self.trace.lock() = sink;
     }
@@ -335,26 +332,6 @@ impl CollabPool {
         self.run_locked(submission, graph, arena, cfg, Some(cancel))
     }
 
-    /// Non-blocking variant of [`CollabPool::run`]: returns `None`
-    /// without running anything when another submitter currently holds
-    /// the pool (instead of queueing behind it). Lets a caller that owns
-    /// several pools route a job to an idle one.
-    pub fn try_run(
-        &self,
-        graph: &TaskGraph,
-        arena: &TableArena,
-        cfg: &SchedulerConfig,
-    ) -> Option<Result<RunReport, JobPanic>> {
-        let submission = self.submit.try_lock()?;
-        Some(
-            self.run_locked(submission, graph, arena, cfg, None)
-                .map_err(|e| match e {
-                    JobError::Panicked(p) => p,
-                    JobError::Cancelled => unreachable!("no cancel token was attached"),
-                }),
-        )
-    }
-
     fn run_locked(
         &self,
         mut submission: MutexGuard<'_, JobScratch>,
@@ -391,7 +368,6 @@ impl CollabPool {
         // every worker access before we drop `shared`.
         let mut shared = unsafe { Shared::prepare(graph, arena, cfg, p, &mut submission) };
         shared.set_cancel(cancel.cloned());
-        #[cfg(feature = "trace")]
         shared.set_trace(self.trace.lock().clone());
         let shared = shared;
 
@@ -430,7 +406,6 @@ impl CollabPool {
             slot.panic.take()
         };
         report.wall = wall_start.elapsed();
-        #[cfg(feature = "trace")]
         shared.trace_job_span(wall_start, graph.num_tasks());
         if let Some(message) = panicked {
             // The aborted job left tasks in ready lists and nonzero
@@ -645,17 +620,6 @@ mod tests {
     fn drop_joins_workers() {
         let pool = CollabPool::new(2);
         drop(pool); // must not hang
-    }
-
-    #[test]
-    fn try_run_executes_when_pool_is_idle() {
-        let (g, pots) = asia_graph();
-        let pool = CollabPool::new(2);
-        let cfg = SchedulerConfig::with_threads(2);
-        let arena = TableArena::initialize(&g, &pots, &EvidenceSet::new());
-        let report = pool.try_run(&g, &arena, &cfg).expect("pool idle").unwrap();
-        let executed: usize = report.threads.iter().map(|t| t.tasks_executed).sum();
-        assert!(executed >= g.num_tasks());
     }
 
     /// A panic inside a worker job must surface as `Err` from `run` —

@@ -10,8 +10,6 @@
 //! acceptance bar; the deliberate design makes them agree exactly
 //! whenever no ring overflow drops events).
 
-#![cfg(feature = "trace")]
-
 use evprop_potential::{EvidenceSet, VarId};
 use evprop_sched::{CollabPool, SchedulerConfig, TableArena};
 use evprop_taskgraph::{PropagationMode, TaskGraph};

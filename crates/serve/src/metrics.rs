@@ -139,9 +139,9 @@ pub struct RuntimeStats {
     /// stateless golden transcript stays byte-identical.
     pub sessions: Option<SessionTableStats>,
     /// Model-registry counters (loads, evictions, swaps, resident and
-    /// still-pinned unlinked bytes). `None` unless the runtime was
-    /// booted in registry mode, so single-model servers keep their
-    /// pre-registry stats lines byte-identical.
+    /// still-pinned unlinked bytes). `None` only for an in-process
+    /// runtime booted without a registry
+    /// (`ShardedRuntime::from_model`).
     pub registry: Option<RegistryStats>,
     /// Fault-tolerance counters (deadline sheds, in-flight
     /// cancellations, worker panics, supervised restarts). `None` until

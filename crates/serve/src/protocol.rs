@@ -59,7 +59,8 @@
 //!
 //! * `{"cmd": "trace"}` — summaries of the most recently completed
 //!   queries (oldest first, at most 64), each with its queue/exec
-//!   split:
+//!   split; a target is named by the model version that answered it
+//!   (positionally, `v<i>`, once that version is gone):
 //!
 //!   ```json
 //!   {"trace": {"recent": [{"target": "dysp", "ok": true, "shard": 0,
@@ -105,15 +106,15 @@
 //!
 //! # Model commands
 //!
-//! When the server runs in registry mode (booted with `--model` or
-//! `--model-budget-mb`), queries and `session-open` accept an optional
-//! `"model"` field — a registry name (`"asia"`, resolved through its
-//! alias) or an exact version tag (`"asia@v2"`). Responses to requests
-//! that named a model echo the answering version as
-//! `"model":"name@vN"`; requests without the field use the default
-//! model and get the unadorned pre-registry response, so existing
-//! clients and golden transcripts are untouched. Four commands manage
-//! the registry over the wire:
+//! `evprop serve` always boots a model registry (the positional
+//! network is its default alias; `--model` adds more). Queries and
+//! `session-open` accept an optional `"model"` field — a registry name
+//! (`"asia"`, resolved through its alias) or an exact version tag
+//! (`"asia@v2"`). Responses to requests that named a model echo the
+//! answering version as `"model":"name@vN"`; requests without the field
+//! use the default model and get the unadorned response, so clients
+//! that never name a model see the same bytes whatever else is loaded.
+//! Four commands manage the registry over the wire:
 //!
 //! ```json
 //! {"cmd": "model-load", "path": "/models/asia.bif", "name": "asia"}
@@ -136,9 +137,12 @@
 //! clients that already pinned them. Sessions pin the exact version
 //! they opened against — `session-open` with a model answers
 //! `{"session":N,"model":"name@vN"}` and every query on that session
-//! is answered by that version, across any number of swaps. In
-//! registry mode the `stats` response grows a `"registry"` object
-//! (loads / evictions / swaps / resident and unlinked byte counts).
+//! is answered by that version, across any number of swaps. The
+//! `stats` response carries a `"registry"` object (loads / evictions /
+//! swaps / resident and unlinked byte counts). An in-process runtime
+//! booted from one compiled model without a registry
+//! (`ShardedRuntime::from_model`) omits it and answers the four model
+//! commands with an error.
 //!
 //! All `*_us` fields are integer microseconds. The parser below is a
 //! deliberately tiny recursive-descent JSON reader — the build
@@ -903,8 +907,8 @@ pub fn format_session_response(
 /// Appends a `"model":"name@vN"` field to an already-formatted
 /// response object — used whenever the *request* named a model, so
 /// every answer reports exactly which version produced it. Requests
-/// that rely on the default alias get the unadorned line, keeping
-/// pre-registry transcripts byte-identical.
+/// that rely on the default alias get the unadorned line, so their
+/// transcripts do not depend on what else the registry holds.
 pub fn with_model_tag(mut line: String, tag: &str) -> String {
     line.pop(); // reopen the object: drop the trailing '}'
     line.push_str(",\"model\":\"");
@@ -1093,7 +1097,10 @@ pub fn format_stats(stats: &RuntimeStats) -> String {
 }
 
 /// Formats recent-query summaries as one `{"trace": …}` response line
-/// (schema in the [module docs](self)).
+/// (schema in the [module docs](self)). Each target is named from the
+/// table of the version that answered it — `names` only for summaries
+/// that recorded none (a runtime without a registry) — and positionally
+/// (`v<i>`) when that version has since been dropped.
 pub fn format_trace(names: &dyn ModelNames, recent: &[QuerySummary]) -> String {
     let mut out = String::from("{\"trace\":{\"recent\":[");
     for (i, q) in recent.iter().enumerate() {
@@ -1101,7 +1108,14 @@ pub fn format_trace(names: &dyn ModelNames, recent: &[QuerySummary]) -> String {
             out.push(',');
         }
         out.push_str("{\"target\":\"");
-        escape_into(&mut out, &names.var_name(q.target));
+        let target = match &q.model {
+            None => names.var_name(q.target),
+            Some(version) => match version.upgrade() {
+                Some(handle) => handle.names().var_name(q.target),
+                None => format!("v{}", q.target.0),
+            },
+        };
+        escape_into(&mut out, &target);
         out.push_str(&format!(
             "\",\"ok\":{},\"shard\":{},\"queue_us\":{},\"exec_us\":{}}}",
             q.ok,

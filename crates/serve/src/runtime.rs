@@ -26,16 +26,14 @@
 use crate::metrics::{quantile_of, FaultStats, RuntimeStats, ShardMetrics};
 use crate::queue::{AdmissionQueue, PushError};
 use crate::sessions::{OpenError, SessionTable};
-use evprop_core::{
-    CalibratedState, CompiledModel, EngineError, InferenceSession, Query, ShardState,
-};
+use evprop_core::{CompiledModel, EngineError, InferenceSession, Query, ShardState};
 use evprop_incremental::{IncrementalSession, QueryMode};
 use evprop_potential::{PotentialTable, VarId};
 use evprop_registry::{ModelHandle, ModelRegistry, RegistryError};
 use evprop_sched::{CancelToken, SchedulerConfig, TableArena};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// How many completed queries the runtime remembers for the `trace`
@@ -69,7 +67,7 @@ pub enum ServeError {
     Engine(EngineError),
     /// A model-registry operation failed (unknown model or version,
     /// version mid-unload, bad name, failed warmup). Only produced by
-    /// runtimes booted in registry mode or by requests naming a model.
+    /// runtimes booted with a registry or by requests naming a model.
     Registry(RegistryError),
 }
 
@@ -231,6 +229,11 @@ pub struct QueryTiming {
 pub struct QuerySummary {
     /// The queried variable.
     pub target: VarId,
+    /// The registry version that answered (`None` on a runtime booted
+    /// without a registry). Weak, so the ring never pins a version
+    /// against unload or eviction; a summary whose version is gone is
+    /// formatted with positional names.
+    pub model: Option<Weak<ModelHandle>>,
     /// Whether the query succeeded.
     pub ok: bool,
     /// Queue/exec breakdown and the answering shard.
@@ -363,7 +366,7 @@ struct RegistryBinding {
 struct Inner {
     /// The one compiled model (domains + task graph + interned kernel
     /// plans) every shard serves. Shards share this `Arc` — they never
-    /// copy the graph or recompile plans. In registry mode this is the
+    /// copy the graph or recompile plans. With a registry this is the
     /// default alias's version at boot; per-query resolution may
     /// override it job by job.
     model: Arc<CompiledModel>,
@@ -379,11 +382,6 @@ struct Inner {
     recent: Mutex<VecDeque<QuerySummary>>,
     /// Open incremental sessions (bounded, TTL-evicted, shard-pinned).
     sessions: SessionTable,
-    /// Lazily computed empty-evidence calibration, cloned into every
-    /// session opened after the first — opening then costs one buffer
-    /// copy instead of one full propagation, and a fresh session's
-    /// first evidence-bearing query already runs incrementally.
-    session_base: Mutex<Option<Arc<CalibratedState>>>,
 }
 
 impl Inner {
@@ -428,7 +426,7 @@ impl ShardedRuntime {
         Self::boot(model, None, config)
     }
 
-    /// Boots the runtime in registry mode: queries resolve their model
+    /// Boots the runtime against a registry: queries resolve their model
     /// per submission — the request's `"model"` field, or
     /// `default_model` when absent — so alias swaps take effect on the
     /// very next query, loads and unloads happen while serving, and
@@ -471,7 +469,6 @@ impl ShardedRuntime {
             started: Instant::now(),
             recent: Mutex::new(VecDeque::with_capacity(RECENT_CAP)),
             sessions: SessionTable::new(config.session_capacity, config.session_ttl),
-            session_base: Mutex::new(None),
         });
         let dispatchers = (0..config.shards)
             .map(|idx| {
@@ -509,8 +506,8 @@ impl ShardedRuntime {
         self.inner.registry.as_ref().map(|b| &b.registry)
     }
 
-    /// The alias answering queries that name no model (registry mode
-    /// only).
+    /// The alias answering queries that name no model (`None` without
+    /// a registry).
     pub fn default_model(&self) -> Option<&str> {
         self.inner
             .registry
@@ -519,8 +516,8 @@ impl ShardedRuntime {
     }
 
     /// Resolves the model answering a submission: the named spec, or
-    /// the default alias in registry mode, or the one compiled model
-    /// otherwise (`None` — the dispatcher then uses `inner.model`).
+    /// the default alias, or — without a registry — the one compiled
+    /// model (`None`; the dispatcher then uses `inner.model`).
     fn resolve_handle(&self, model: Option<&str>) -> ServeResult<Option<Arc<ModelHandle>>> {
         match (&self.inner.registry, model) {
             (Some(binding), spec) => {
@@ -535,7 +532,7 @@ impl ShardedRuntime {
     }
 
     /// Submits a query, blocking while the admission queue is full.
-    /// In registry mode the default alias is resolved at submit time,
+    /// With a registry the default alias is resolved at submit time,
     /// so an alias swap lands on the very next submission.
     ///
     /// # Errors
@@ -684,7 +681,6 @@ impl ShardedRuntime {
     /// # Panics
     ///
     /// If `shard` is out of range.
-    #[cfg(feature = "trace")]
     pub fn attach_trace(&self, shard: usize, sink: Option<Arc<evprop_trace::TraceSink>>) {
         self.inner.shards[shard]
             .state
@@ -692,10 +688,10 @@ impl ShardedRuntime {
     }
 
     /// A point-in-time statistics snapshot across all shards, including
-    /// the shared model's kernel-plan cache counters. With the `trace`
-    /// feature, each snapshot also drops a `plan-cache` instant on the
-    /// control row of every attached shard sink, so exported timelines
-    /// carry the counter history alongside the scheduler spans.
+    /// the shared model's kernel-plan cache counters. Each snapshot
+    /// also drops a `plan-cache` instant on the control row of every
+    /// attached shard sink, so exported timelines carry the counter
+    /// history alongside the scheduler spans.
     pub fn stats(&self) -> RuntimeStats {
         let plan_cache = self.inner.model.plan_stats();
         let mut faults = FaultStats::default();
@@ -705,7 +701,6 @@ impl ShardedRuntime {
             faults.panics += s.metrics.panics.get();
             faults.restarts += s.state.pool_restarts();
         }
-        #[cfg(feature = "trace")]
         for shard in &self.inner.shards {
             shard.state.trace_instant(evprop_trace::SpanKind::Faults {
                 shed: faults.shed,
@@ -801,45 +796,26 @@ impl ShardedRuntime {
     /// [`ServeError::SessionLimit`] when the table is full;
     /// [`ServeError::Engine`] if the base calibration fails.
     pub fn session_open_model(&self, model: Option<&str>) -> ServeResult<(u64, Option<String>)> {
-        match self.resolve_handle(model)? {
-            Some(handle) => self.open_with_handle(handle, model.is_some()),
-            None => {
-                let base = self.session_base_snapshot()?;
-                self.inner
-                    .sessions
-                    .open(self.inner.shards.len(), |_| {
-                        Ok::<_, ServeError>((
-                            IncrementalSession::from_snapshot(Arc::clone(&self.inner.model), &base),
-                            None,
-                        ))
-                    })
-                    .map(|(id, _)| (id, None))
-                    .map_err(|e| match e {
-                        OpenError::Full => ServeError::SessionLimit,
-                        OpenError::Make(e) => e,
-                    })
-            }
-        }
+        let handle = self.resolve_handle(model)?;
+        self.open_with_handle(handle, model.is_some())
     }
 
-    /// Opens a session pinning `handle`. Split out so the unload-race
-    /// test can inject a handle resolved *before* a `model-unload`.
+    /// Opens a session on `handle`'s version, pinning it (`None`: the
+    /// one compiled model of a runtime without a registry). Split out
+    /// so the unload-race test can inject a handle resolved *before* a
+    /// `model-unload`.
     fn open_with_handle(
         &self,
-        handle: Arc<ModelHandle>,
+        handle: Option<Arc<ModelHandle>>,
         named: bool,
     ) -> ServeResult<(u64, Option<String>)> {
-        // Per-version base calibration, computed once per handle (the
-        // same clone-the-snapshot trick as the single-model path).
-        let base = handle.session_base_with(|| {
-            let mut boot = IncrementalSession::new(Arc::clone(handle.model()));
-            boot.calibrate_full(&self.inner.shards[0].state)
-                .map_err(ServeError::Engine)?;
-            Ok::<_, ServeError>(Arc::new(
-                boot.snapshot().expect("no pending deltas after calibrate"),
-            ))
+        let model = handle.as_ref().map_or(&self.inner.model, |h| h.model());
+        let base = model.session_base_with(|| {
+            let mut boot = IncrementalSession::new(Arc::clone(model));
+            boot.calibrate_full(&self.inner.shards[0].state)?;
+            Ok::<_, ServeError>(boot.snapshot().expect("no pending deltas after calibrate"))
         })?;
-        let tag = handle.tag();
+        let tag = handle.as_ref().filter(|_| named).map(|h| h.tag());
         self.inner
             .sessions
             .open(self.inner.shards.len(), |_| {
@@ -847,15 +823,15 @@ impl ShardedRuntime {
                 // insert: once `model-unload` marks the version, no new
                 // session can pin it — and a session inserted before
                 // the mark holds a strong `Arc` the unload observes.
-                if handle.is_unloading() {
-                    return Err(ServeError::Registry(RegistryError::Unloading(handle.tag())));
+                if let Some(h) = handle.as_ref().filter(|h| h.is_unloading()) {
+                    return Err(ServeError::Registry(RegistryError::Unloading(h.tag())));
                 }
                 Ok((
-                    IncrementalSession::from_snapshot(Arc::clone(handle.model()), &base),
-                    Some(Arc::clone(&handle)),
+                    IncrementalSession::from_snapshot(Arc::clone(model), &base),
+                    handle.clone(),
                 ))
             })
-            .map(|(id, _)| (id, named.then_some(tag)))
+            .map(|(id, _)| (id, tag))
             .map_err(|e| match e {
                 OpenError::Full => ServeError::SessionLimit,
                 OpenError::Make(e) => e,
@@ -941,7 +917,7 @@ impl ShardedRuntime {
     }
 
     /// The name catalog of the model a live session pinned, if it
-    /// pinned one (registry mode). The front-end interprets and formats
+    /// pinned one. The front-end interprets and formats
     /// session commands against these names rather than the default
     /// model's — the pinned model's variables can differ arbitrarily.
     pub(crate) fn session_names(
@@ -950,21 +926,6 @@ impl ShardedRuntime {
     ) -> Option<Arc<dyn evprop_registry::ModelNames + Send + Sync>> {
         let (_, _, handle) = self.inner.sessions.get(id)?;
         handle.map(|h| Arc::clone(h.names()))
-    }
-
-    /// The shared empty-evidence calibration, computed on first use on
-    /// shard 0's pool.
-    fn session_base_snapshot(&self) -> ServeResult<Arc<CalibratedState>> {
-        let mut base = self.inner.session_base.lock();
-        if let Some(b) = base.as_ref() {
-            return Ok(Arc::clone(b));
-        }
-        let mut boot = IncrementalSession::new(Arc::clone(&self.inner.model));
-        boot.calibrate_full(&self.inner.shards[0].state)
-            .map_err(ServeError::Engine)?;
-        let snapshot = Arc::new(boot.snapshot().expect("no pending deltas after calibrate"));
-        *base = Some(Arc::clone(&snapshot));
-        Ok(snapshot)
     }
 
     /// Stops admitting new queries without waiting: later submissions
@@ -1071,6 +1032,7 @@ fn dispatcher(inner: &Inner, idx: usize) {
                     shard.metrics.latency.record(queue);
                     inner.remember(QuerySummary {
                         target: job.query.target,
+                        model: job.handle.as_ref().map(Arc::downgrade),
                         ok: false,
                         timing,
                     });
@@ -1137,6 +1099,7 @@ fn dispatcher(inner: &Inner, idx: usize) {
             shard.metrics.latency.record(job.enqueued.elapsed());
             inner.remember(QuerySummary {
                 target: job.query.target,
+                model: job.handle.as_ref().map(Arc::downgrade),
                 ok: result.is_ok(),
                 timing,
             });
@@ -1511,7 +1474,7 @@ mod tests {
         // the open's re-check under the table lock must reject it.
         let stale = registry.resolve("asia").unwrap();
         registry.unload("asia", None).unwrap();
-        let err = rt.open_with_handle(stale, true).unwrap_err();
+        let err = rt.open_with_handle(Some(stale), true).unwrap_err();
         assert!(matches!(
             err,
             ServeError::Registry(RegistryError::Unloading(_))

@@ -207,13 +207,30 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             }
             id
         };
-        let conn_shared = Arc::clone(shared);
+        let slot = ConnSlot {
+            shared: Arc::clone(shared),
+            id: conn_id,
+        };
         let _ = std::thread::Builder::new()
             .name("evprop-conn".into())
             .spawn(move || {
-                handle_connection(stream, &conn_shared);
-                conn_shared.conns.lock().remove(&conn_id);
+                let slot = slot; // dropped on return and on unwind alike
+                handle_connection(stream, &slot.shared);
             });
+    }
+}
+
+/// A live connection's entry in [`Shared::conns`], freed on drop — so a
+/// handler that panics (or a thread that fails to spawn) gives its
+/// `max_conns` slot back like one that returns.
+struct ConnSlot {
+    shared: Arc<Shared>,
+    id: u64,
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.shared.conns.lock().remove(&self.id);
     }
 }
 
@@ -422,13 +439,13 @@ fn answer_line(line: &str, shared: &Shared) -> String {
     }
 }
 
-/// The runtime's registry, or a ready-made error response for servers
-/// booted without one.
+/// The runtime's registry, or a ready-made error response for a
+/// runtime booted without one ([`ShardedRuntime::from_model`]).
 fn registry_of(shared: &Shared) -> Result<&Arc<ModelRegistry>, String> {
     shared
         .runtime
         .registry()
-        .ok_or_else(|| format_error("server has no model registry: boot with --model to enable"))
+        .ok_or_else(|| format_error("runtime has no model registry"))
 }
 
 /// Handles `model-load`: parse + compile + warm up the BIF file on the
@@ -775,6 +792,83 @@ mod tests {
 
         server.stop();
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `{"cmd":"trace"}` names each target from the table of the
+    /// version that answered it — not the default model's, which may be
+    /// smaller (this transcript used to kill the connection thread in
+    /// `BifNetwork::var_name`) — and positionally once that version is
+    /// gone; the ring's weak reference must not keep it alive.
+    #[test]
+    fn trace_names_targets_by_the_version_that_answered() {
+        use evprop_bayesnet::bif::with_generated_names;
+        let mut asia = with_generated_names(networks::asia(), "asia");
+        asia.var_names[7] = "dysp".to_string();
+        let sprinkler = with_generated_names(networks::sprinkler(), "sprinkler");
+        let registry = Arc::new(ModelRegistry::new());
+        for bif in [&sprinkler, &asia] {
+            let session = InferenceSession::from_network(&bif.network).unwrap();
+            registry
+                .install(
+                    &bif.name,
+                    Arc::clone(session.model()),
+                    Arc::new(bif.clone()),
+                )
+                .unwrap();
+        }
+        let runtime = Arc::new(
+            ShardedRuntime::with_registry(
+                Arc::clone(&registry),
+                "sprinkler",
+                RuntimeConfig::new(1, 1).without_partitioning(),
+            )
+            .unwrap(),
+        );
+        let mut server = TcpServer::bind("127.0.0.1:0", runtime, Arc::new(sprinkler)).unwrap();
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+
+        let answer = roundtrip(&stream, r#"{"model": "asia", "target": "dysp"}"#);
+        assert!(answer.contains("\"marginal\""), "got: {answer}");
+        roundtrip(&stream, r#"{"target": "v1"}"#);
+        let trace = roundtrip(&stream, r#"{"cmd": "trace"}"#);
+        assert!(
+            trace.contains(r#"[{"target":"dysp","#) && trace.contains(r#"{"target":"v1","#),
+            "got: {trace}"
+        );
+
+        let unloaded = roundtrip(&stream, r#"{"cmd": "model-unload", "name": "asia"}"#);
+        assert_eq!(unloaded, r#"{"ok":true,"unloaded":["asia@v1"]}"#);
+        assert_eq!(registry.stats().unlinked, 0, "the ring pins no version");
+        let trace = roundtrip(&stream, r#"{"cmd": "trace"}"#);
+        assert!(trace.contains(r#"[{"target":"v7","#), "got: {trace}");
+        server.stop();
+    }
+
+    /// A handler thread that dies still gives its `max_conns` slot
+    /// back: the table entry is freed by a drop guard, not by code
+    /// after the handler returns.
+    #[test]
+    fn panicking_handler_frees_its_connection_slot() {
+        let (mut server, addr) = boot();
+        let shared = Arc::clone(&server.shared);
+        let id = u64::MAX;
+        shared
+            .conns
+            .lock()
+            .insert(id, TcpStream::connect(addr).unwrap());
+        let slot = ConnSlot {
+            shared: Arc::clone(&shared),
+            id,
+        };
+        let died = std::thread::spawn(move || {
+            let _slot = slot;
+            panic!("handler died mid-request");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(!shared.conns.lock().contains_key(&id));
+        server.stop();
+        assert!(shared.conns.lock().is_empty());
     }
 
     #[test]

@@ -34,10 +34,8 @@
 //! recorder and the hot path never contends. Merging happens once, at
 //! export time ([`TraceSink::drain`]).
 //!
-//! This crate is always compiled (the statistic types are used
-//! unconditionally); whether the *schedulers* call into it is gated by
-//! their `trace` cargo feature, which compiles the recording hooks out
-//! entirely when off.
+//! The schedulers' recording hooks are always compiled too; they call
+//! into this crate only while a [`TraceSink`] is attached.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
