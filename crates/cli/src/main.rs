@@ -927,6 +927,33 @@ mod tests {
         }
     }
 
+    /// Finite likelihood weights whose product overflows `f64` used to
+    /// print `NaN` posteriors and exit 0 on both engines; exact-zero
+    /// evidence keeps its own message.
+    #[test]
+    fn overflowing_likelihoods_are_an_error() {
+        let f = asia_file();
+        for engine in ["seq", "collab"] {
+            let mut args = s(&[&f, "--target", "v3", "--engine", engine]);
+            for v in ["v0", "v1", "v2"] {
+                args.extend(s(&["--likelihood", &format!("{v}=1e300:1e-300")]));
+            }
+            let e = cmd_query(&args).unwrap_err();
+            assert!(e.starts_with("evidence overflows f64"), "{engine}: {e}");
+        }
+        let args = s(&[
+            &f,
+            "--target",
+            "v4",
+            "--evidence",
+            "v3=s1",
+            "--evidence",
+            "v5=s0",
+        ]);
+        let e = cmd_query(&args).unwrap_err();
+        assert!(e.contains("probability zero"), "{e}");
+    }
+
     #[test]
     fn mpe_runs() {
         let f = asia_file();

@@ -148,15 +148,21 @@ pub fn covering_clique(shape: &TreeShape, vars: &[VarId]) -> Result<CliqueId> {
 }
 
 /// The one read-out: the normalized posterior over `vars` from a
-/// calibrated clique table `P(C, e)` whose domain covers them.
+/// calibrated clique table `P(C, e)` whose domain covers them. Only a
+/// finite positive mass normalizes to a posterior.
 ///
 /// # Errors
 ///
-/// [`EngineError::ImpossibleEvidence`] if the table's mass is zero.
+/// [`EngineError::ImpossibleEvidence`] if the table's mass is zero;
+/// [`EngineError::EvidenceOverflow`] if it is not finite.
 pub fn read_out(table: &PotentialTable, vars: &[VarId]) -> Result<PotentialTable> {
     let sub = table.domain().project(vars);
     let mut m = table.marginalize(&sub)?;
-    if m.sum() <= 0.0 {
+    let mass = m.sum();
+    if !mass.is_finite() {
+        return Err(EngineError::EvidenceOverflow { mass });
+    }
+    if mass <= 0.0 {
         return Err(EngineError::ImpossibleEvidence);
     }
     m.normalize();
@@ -238,6 +244,23 @@ mod tests {
             c.marginal(VarId(0)),
             Err(EngineError::ImpossibleEvidence)
         ));
+    }
+
+    /// A mass that overflowed (or turned `NaN` in the Hugin division)
+    /// is refused, not normalized into `NaN` marginals; exact zero is
+    /// still `ImpossibleEvidence`.
+    #[test]
+    fn non_finite_mass_is_refused() {
+        let d = Domain::new(vec![Variable::binary(VarId(0))]).unwrap();
+        let shape = TreeShape::new(vec![d.clone()], &[], 0).unwrap();
+        for (data, nan) in [([f64::INFINITY, 1.0], false), ([f64::NAN, 1.0], true)] {
+            let table = PotentialTable::from_data(d.clone(), data.to_vec()).unwrap();
+            let c = Calibrated::new(shape.clone(), vec![table]);
+            match c.marginal(VarId(0)) {
+                Err(EngineError::EvidenceOverflow { mass }) => assert_eq!(mass.is_nan(), nan),
+                other => panic!("{data:?}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,14 @@ pub enum EngineError {
     /// The evidence is impossible under the model (probability zero), so
     /// posteriors are undefined.
     ImpossibleEvidence,
+    /// The unnormalized mass `P(C, e)` a posterior is read from is not
+    /// a finite number: finite but huge likelihood weights multiplied
+    /// past `f64::MAX` (and the Hugin division then computed
+    /// `inf / inf`). No posterior is produced rather than a `NaN` one.
+    EvidenceOverflow {
+        /// The mass the read-out found (`inf` or `NaN`).
+        mass: f64,
+    },
     /// Junction-tree construction or validation failed.
     Jtree(JtreeError),
     /// A potential-table operation failed.
@@ -48,6 +56,11 @@ impl fmt::Display for EngineError {
             EngineError::ImpossibleEvidence => {
                 write!(f, "evidence has probability zero under the model")
             }
+            EngineError::EvidenceOverflow { mass } => write!(
+                f,
+                "evidence overflows f64 (unnormalized posterior mass {mass}): \
+                 scale the likelihood weights down"
+            ),
             EngineError::Jtree(e) => write!(f, "junction tree error: {e}"),
             EngineError::Potential(e) => write!(f, "potential-table error: {e}"),
             EngineError::WorkerPanicked(msg) => {
@@ -101,13 +114,14 @@ mod tests {
         let errs: Vec<EngineError> = vec![
             EngineError::VariableNotInTree(VarId(1)),
             EngineError::ImpossibleEvidence,
+            EngineError::EvidenceOverflow { mass: f64::NAN },
             EngineError::Jtree(JtreeError::BadCliqueId(3)),
             EngineError::Potential(PotentialError::UnknownVariable(VarId(0))),
         ];
         for e in &errs {
             assert!(!e.to_string().is_empty());
         }
-        assert!(errs[2].source().is_some());
+        assert!(errs[3].source().is_some());
         assert!(errs[0].source().is_none());
     }
 }

@@ -519,6 +519,44 @@ mod tests {
         assert_eq!(got.data(), reference.marginal(VarId(0)).unwrap().data());
     }
 
+    /// The stateless path leans on `reset` leaving scratch alone: an
+    /// arena whose every `Scratch` buffer holds NaN answers
+    /// `posterior_on` bit-for-bit like a fresh shard, sum and max, with
+    /// and without partitioning.
+    #[test]
+    fn poisoned_scratch_does_not_reach_posterior_on() {
+        use evprop_taskgraph::{BufferInit, PropagationMode};
+        let jt = JunctionTree::from_network(&networks::asia()).unwrap();
+        let mut ev = EvidenceSet::new();
+        ev.observe(VarId(7), 1);
+        ev.observe_likelihood(VarId(2), vec![0.3, 0.9]);
+        for mode in [PropagationMode::SumProduct, PropagationMode::MaxProduct] {
+            let graph = TaskGraph::from_shape_mode(jt.shape(), mode);
+            for config in [
+                SchedulerConfig::with_threads(2).without_partitioning(),
+                SchedulerConfig::with_threads(2).with_delta(1),
+            ] {
+                let shard = ShardState::new(config.clone());
+                let mut arena = shard.checkout(&graph, jt.potentials());
+                for v in 0..8u32 {
+                    for (t, spec) in arena.tables_mut().iter_mut().zip(graph.buffers()) {
+                        if spec.init == BufferInit::Scratch {
+                            t.fill(f64::NAN);
+                        }
+                    }
+                    let got = shard
+                        .posterior_on(&jt, &graph, &mut arena, VarId(v), &ev)
+                        .unwrap();
+                    let want = ShardState::new(config.clone())
+                        .posterior(&jt, &graph, VarId(v), &ev)
+                        .unwrap();
+                    assert_eq!(got.data(), want.data(), "V{v} {mode:?} {config:?}");
+                    assert!(got.data().iter().all(|p| p.is_finite()));
+                }
+            }
+        }
+    }
+
     #[test]
     fn batch_error_recycles_arena() {
         let net = networks::asia();

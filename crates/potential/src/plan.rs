@@ -34,6 +34,17 @@
 //! reduction for broadcast blocks) — no per-entry odometer, and a shape
 //! the compiler autovectorizes.
 //!
+//! # One block walk, collected or streamed
+//!
+//! The segment list comes from one generator, `BlockWalk`: it seeks
+//! once to `range.start` and then carries an odometer over the axes
+//! *outside* the uniform suffix one step per block, allocating nothing.
+//! [`KernelPlan::compile`] collects the walk into a plan the scheduler
+//! caches and re-runs; the unplanned entry points of
+//! [`raw`](crate::raw) (`marginalize_range_into_raw`, …) feed the same
+//! walk straight into the same slice loops, so a one-off call costs
+//! neither a plan nor a per-block allocation.
+//!
 //! # Determinism
 //!
 //! Plan interpretation performs bit-for-bit the same floating-point
@@ -50,7 +61,7 @@
 //! assert bitwise equality against the walker path.
 
 use crate::simd;
-use crate::{AxisWalker, Domain, EntryRange, PotentialError, Result};
+use crate::{Domain, EntryRange, PotentialError, Result};
 
 /// How consecutive scan entries within a block map onto the target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,10 +103,10 @@ pub struct KernelPlan {
 /// the [`PlanKind`]. An empty scan domain (size 1) degenerates to a
 /// single contiguous block.
 ///
-/// Shared by [`KernelPlan::compile`] and the walker kernels in
-/// [`raw`](crate::raw), so both paths cut ranges into *identical*
-/// blocks and hand identical slices to the reduction kernels — a
-/// precondition of the bitwise walker-vs-plan oracle tests.
+/// Used by the walker kernels in [`raw`](crate::raw); [`BlockWalk`]
+/// applies the same rule in its own single pass. Both must cut ranges
+/// into *identical* blocks and hand identical slices to the reduction
+/// kernels — what the bitwise walker-vs-plan oracle tests check.
 pub(crate) fn uniform_suffix_block(scan: &Domain, tstrides: &[usize]) -> (usize, PlanKind) {
     let width = scan.width();
     let last_present = width > 0 && tstrides[width - 1] != 0;
@@ -115,20 +126,55 @@ pub(crate) fn uniform_suffix_block(scan: &Domain, tstrides: &[usize]) -> (usize,
     (block, kind)
 }
 
-impl KernelPlan {
-    /// Compiles the plan mapping `range` of a table over `scan` onto a
-    /// table over `target`.
-    ///
-    /// `scan` is the linearly-walked superdomain (marginalization
-    /// source; extension/multiplication destination) and `target` the
-    /// projected subdomain. Compilation is `O(width · range.len() /
-    /// block)` — segments, not entries.
+/// Capacity of [`BlockWalk`]'s odometer. Only axes of two or more
+/// states ever move, and a domain's size fits in a `usize`, so no
+/// domain has more than `usize::BITS - 1` of them.
+const MAX_MOVING_AXES: usize = usize::BITS as usize;
+
+/// One moving axis of a [`BlockWalk`]'s odometer.
+#[derive(Debug, Clone, Copy, Default)]
+struct Digit {
+    card: usize,
+    /// Stride of the axis in the target (0 when the target lacks it).
+    tstride: usize,
+    count: usize,
+}
+
+/// The canonical block decomposition of one (scan, target, range)
+/// triple as an allocation-free generator of [`Segment`]s — exactly
+/// the list [`KernelPlan::compile`] stores, in order, contiguous runs
+/// fused across block boundaries.
+///
+/// The walk splits the scan axes into the uniform suffix (one block,
+/// see [`uniform_suffix_block`]) and the axes before it. It seeks once,
+/// writing the odometer over the moving (two or more states) prefix
+/// axes in place, and then carries that odometer one step per block.
+#[derive(Debug)]
+pub(crate) struct BlockWalk {
+    kind: PlanKind,
+    block: usize,
+    /// Next scan entry to emit, and the range end.
+    pos: usize,
+    end: usize,
+    /// Offset of `pos` into its block: non-zero only before the first
+    /// block boundary of a range that starts mid-block.
+    lead: usize,
+    /// Target index of the current block's first entry.
+    base: usize,
+    /// Moving prefix axes, innermost first.
+    digits: [Digit; MAX_MOVING_AXES],
+    moving: usize,
+}
+
+impl BlockWalk {
+    /// Positions the walk at `range.start` of a table over `scan`
+    /// projected onto `target`.
     ///
     /// # Errors
     ///
     /// [`PotentialError::NotSubdomain`] if `target` ⊄ `scan`;
     /// [`PotentialError::BadRange`] if `range` exceeds `scan.size()`.
-    pub fn compile(scan: &Domain, target: &Domain, range: EntryRange) -> Result<Self> {
+    pub(crate) fn new(scan: &Domain, target: &Domain, range: EntryRange) -> Result<Self> {
         for v in target.vars() {
             if !scan.contains(v.id()) {
                 return Err(PotentialError::NotSubdomain { missing: v.id() });
@@ -141,42 +187,132 @@ impl KernelPlan {
                 len: scan.size(),
             });
         }
-
-        let tstrides = scan.strides_in(target);
-        let (block, kind) = uniform_suffix_block(scan, &tstrides);
-
-        let mut segs: Vec<Segment> = Vec::new();
-        if !range.is_empty() {
-            let mut w = AxisWalker::new(scan, tstrides);
-            let mut pos = range.start;
-            while pos < range.end {
-                let boundary = pos - pos % block + block;
-                let len = boundary.min(range.end) - pos;
-                w.seek(scan, pos);
-                let base = w.target_index();
-                match segs.last_mut() {
-                    // Contiguous runs that continue across a block
-                    // boundary fuse into one longer segment.
-                    Some(prev)
-                        if kind == PlanKind::Contig && prev.target_base + prev.len == base =>
-                    {
-                        prev.len += len;
-                    }
-                    _ => segs.push(Segment {
-                        target_base: base,
-                        len,
-                    }),
-                }
-                pos += len;
+        let vars = scan.vars();
+        let width = vars.len();
+        let last_present = width > 0 && target.contains(vars[width - 1].id());
+        let mut walk = BlockWalk {
+            kind: if width == 0 || last_present {
+                PlanKind::Contig
+            } else {
+                PlanKind::Broadcast
+            },
+            block: 1,
+            pos: range.start,
+            end: range.end,
+            lead: 0,
+            base: 0,
+            digits: [Digit::default(); MAX_MOVING_AXES],
+            moving: 0,
+        };
+        if range.is_empty() {
+            return Ok(walk);
+        }
+        // One pass from the innermost axis out: target strides by a
+        // merge of the two sorted domains (target ⊆ scan), the uniform
+        // suffix, then the odometer seeked to `range.start`.
+        let mut unmatched = target.width();
+        let mut in_suffix = true;
+        for (pos, v) in vars.iter().enumerate().rev() {
+            let present = unmatched > 0 && target.vars()[unmatched - 1].id() == v.id();
+            let tstride = if present {
+                unmatched -= 1;
+                target.stride(unmatched)
+            } else {
+                0
+            };
+            in_suffix &= present == last_present;
+            if in_suffix {
+                walk.block *= v.cardinality();
+            } else if v.cardinality() > 1 {
+                let count = range.start / scan.stride(pos) % v.cardinality();
+                walk.base += count * tstride;
+                walk.digits[walk.moving] = Digit {
+                    card: v.cardinality(),
+                    tstride,
+                    count,
+                };
+                walk.moving += 1;
             }
         }
+        walk.lead = range.start % walk.block;
+        Ok(walk)
+    }
 
+    pub(crate) fn kind(&self) -> PlanKind {
+        self.kind
+    }
+
+    /// The block at `pos` (or its tail, for a range that ends inside
+    /// it), then one odometer step to the next block.
+    fn take_block(&mut self) -> Segment {
+        let len = (self.block - self.lead).min(self.end - self.pos);
+        // Contig suffix axes are the target's trailing axes, laid out
+        // alike: the offset into the block is the offset into the
+        // target run.
+        let seg = Segment {
+            target_base: match self.kind {
+                PlanKind::Contig => self.base + self.lead,
+                PlanKind::Broadcast => self.base,
+            },
+            len,
+        };
+        self.pos += len;
+        self.lead = 0;
+        if self.pos < self.end {
+            for d in &mut self.digits[..self.moving] {
+                d.count += 1;
+                self.base += d.tstride;
+                if d.count < d.card {
+                    break;
+                }
+                d.count = 0;
+                self.base -= d.card * d.tstride;
+            }
+        }
+        seg
+    }
+}
+
+impl Iterator for BlockWalk {
+    type Item = Segment;
+
+    fn next(&mut self) -> Option<Segment> {
+        if self.pos >= self.end {
+            return None;
+        }
+        let mut seg = self.take_block();
+        // Contiguous runs that continue across a block boundary fuse
+        // into one longer segment.
+        if self.kind == PlanKind::Contig {
+            while self.pos < self.end && self.base == seg.target_base + seg.len {
+                seg.len += self.take_block().len;
+            }
+        }
+        Some(seg)
+    }
+}
+
+impl KernelPlan {
+    /// Compiles the plan mapping `range` of a table over `scan` onto a
+    /// table over `target`: the collected block walk.
+    ///
+    /// `scan` is the linearly-walked superdomain (marginalization
+    /// source; extension/multiplication destination) and `target` the
+    /// projected subdomain. Compilation is `O(width + range.len() /
+    /// block)` — segments, not entries.
+    ///
+    /// # Errors
+    ///
+    /// [`PotentialError::NotSubdomain`] if `target` ⊄ `scan`;
+    /// [`PotentialError::BadRange`] if `range` exceeds `scan.size()`.
+    pub fn compile(scan: &Domain, target: &Domain, range: EntryRange) -> Result<Self> {
+        let walk = BlockWalk::new(scan, target, range)?;
         Ok(Self {
-            kind,
+            kind: walk.kind(),
             range,
             scan_len: scan.size(),
             target_len: target.size(),
-            segs,
+            segs: walk.collect(),
         })
     }
 
@@ -212,36 +348,6 @@ impl KernelPlan {
         std::mem::size_of::<Self>() + self.segs.len() * std::mem::size_of::<Segment>()
     }
 
-    fn check_scan(&self, len: usize) -> Result<()> {
-        if len != self.scan_len {
-            return Err(PotentialError::DataSizeMismatch {
-                expected: self.scan_len,
-                found: len,
-            });
-        }
-        Ok(())
-    }
-
-    fn check_target(&self, len: usize) -> Result<()> {
-        if len != self.target_len {
-            return Err(PotentialError::DataSizeMismatch {
-                expected: self.target_len,
-                found: len,
-            });
-        }
-        Ok(())
-    }
-
-    fn check_window(&self, len: usize) -> Result<()> {
-        if len != self.range.len() {
-            return Err(PotentialError::DataSizeMismatch {
-                expected: self.range.len(),
-                found: len,
-            });
-        }
-        Ok(())
-    }
-
     /// Sum-marginalization: accumulates `src[range]` (full scan-domain
     /// slice) into the full target table `dst` (the caller zeroes `dst`
     /// before the first partial). Contiguous segments do one `+=` per
@@ -253,13 +359,10 @@ impl KernelPlan {
     /// [`PotentialError::DataSizeMismatch`] if `src` is not the scan
     /// table or `dst` not the target table.
     pub fn marginalize_sum_into(&self, src: &[f64], dst: &mut [f64]) -> Result<()> {
-        self.check_scan(src.len())?;
-        self.check_target(dst.len())?;
+        check_len(self.scan_len, src.len())?;
+        check_len(self.target_len, dst.len())?;
         let win = &src[self.range.start..self.range.end];
-        match self.kind {
-            PlanKind::Contig => simd::marg_sum_contig(&self.segs, win, dst),
-            PlanKind::Broadcast => simd::marg_sum_broadcast(&self.segs, win, dst),
-        }
+        simd::marg_sum(self.kind, self.segs.iter().copied(), win, dst);
         Ok(())
     }
 
@@ -270,13 +373,10 @@ impl KernelPlan {
     ///
     /// Same conditions as [`Self::marginalize_sum_into`].
     pub fn marginalize_max_into(&self, src: &[f64], dst: &mut [f64]) -> Result<()> {
-        self.check_scan(src.len())?;
-        self.check_target(dst.len())?;
+        check_len(self.scan_len, src.len())?;
+        check_len(self.target_len, dst.len())?;
         let win = &src[self.range.start..self.range.end];
-        match self.kind {
-            PlanKind::Contig => simd::marg_max_contig(&self.segs, win, dst),
-            PlanKind::Broadcast => simd::marg_max_broadcast(&self.segs, win, dst),
-        }
+        simd::marg_max(self.kind, self.segs.iter().copied(), win, dst);
         Ok(())
     }
 
@@ -289,24 +389,9 @@ impl KernelPlan {
     /// [`PotentialError::DataSizeMismatch`] if `src` is not the target
     /// table or `out` is not exactly `range.len()` entries.
     pub fn extend_into(&self, src: &[f64], out: &mut [f64]) -> Result<()> {
-        self.check_target(src.len())?;
-        self.check_window(out.len())?;
-        let mut pos = 0usize;
-        match self.kind {
-            PlanKind::Contig => {
-                for seg in &self.segs {
-                    out[pos..pos + seg.len]
-                        .copy_from_slice(&src[seg.target_base..seg.target_base + seg.len]);
-                    pos += seg.len;
-                }
-            }
-            PlanKind::Broadcast => {
-                for seg in &self.segs {
-                    out[pos..pos + seg.len].fill(src[seg.target_base]);
-                    pos += seg.len;
-                }
-            }
-        }
+        check_len(self.target_len, src.len())?;
+        check_len(self.range.len(), out.len())?;
+        simd::extend(self.kind, self.segs.iter().copied(), src, out);
         Ok(())
     }
 
@@ -318,14 +403,20 @@ impl KernelPlan {
     ///
     /// Same conditions as [`Self::extend_into`].
     pub fn multiply_into(&self, src: &[f64], out: &mut [f64]) -> Result<()> {
-        self.check_target(src.len())?;
-        self.check_window(out.len())?;
-        match self.kind {
-            PlanKind::Contig => simd::mul_contig(&self.segs, src, out),
-            PlanKind::Broadcast => simd::mul_broadcast(&self.segs, src, out),
-        }
+        check_len(self.target_len, src.len())?;
+        check_len(self.range.len(), out.len())?;
+        simd::mul(self.kind, self.segs.iter().copied(), src, out);
         Ok(())
     }
+}
+
+/// [`PotentialError::DataSizeMismatch`] unless a slice has the length
+/// its domain or window fixes.
+pub(crate) fn check_len(expected: usize, found: usize) -> Result<()> {
+    if found != expected {
+        return Err(PotentialError::DataSizeMismatch { expected, found });
+    }
+    Ok(())
 }
 
 /// Division over a destination window. Division never crosses domains

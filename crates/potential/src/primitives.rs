@@ -227,7 +227,7 @@ impl PotentialTable {
         let (dst_domain, dst) = self.parts_mut();
         range.validate(dst.len())?;
         let window = &mut dst[range.start..range.end];
-        crate::raw::multiply_range_into(other.domain(), other.data(), dst_domain, range, window)
+        crate::raw::multiply_range_into_raw(other.domain(), other.data(), dst_domain, range, window)
     }
 
     /// General product over the union domain, used when assembling initial

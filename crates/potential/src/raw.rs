@@ -27,25 +27,30 @@
 //! functions, so the sequential engines and the partitioned scheduler
 //! execute literally the same arithmetic.
 //!
-//! # Walker and planned forms
+//! # Planned, streamed and walker forms
 //!
-//! Each cross-domain kernel exists in two forms that compute
+//! Each cross-domain kernel runs in three forms that compute
 //! bit-identical results:
 //!
-//! * the **planned** form, which compiles a [`KernelPlan`] and
-//!   interprets it with slice-wise inner loops — what the public entry
-//!   points (`extend_range_into_raw`, …) and every engine run; and
-//! * the **walker** form (`*_walker`), which derives the index mapping
-//!   on the fly with an [`AxisWalker`] — a reference implementation,
-//!   kept as the differential-testing oracle of `tests/prop_plans.rs`
-//!   and the `plan` unit suite, called by nothing else.
-//!
-//! Hot paths (the scheduler) skip the entry points here entirely and
-//! interpret *cached* plans.
+//! * **planned** — a [`KernelPlan`](crate::KernelPlan) is the collected
+//!   block walk (see [`plan`](crate::plan)), compiled once and cached
+//!   on the task graph; the scheduler interprets those plans and skips
+//!   the entry points here entirely;
+//! * **streamed** — the entry points here (`marginalize_range_into_raw`,
+//!   `max_marginalize_range_into_raw`, `extend_range_into_raw`,
+//!   `multiply_range_into_raw`) run the same block walk straight into
+//!   the same slice loops, with no plan and no allocation: every
+//!   one-off kernel call (the `PotentialTable` methods, the read-out of
+//!   every query, the sequential oracle) takes this form;
+//! * **walker** (`*_walker`) — derives the index mapping on the fly
+//!   with an [`AxisWalker`], seeking once per block: an independent
+//!   reference implementation, kept as the differential-testing oracle
+//!   of `tests/prop_plans.rs` and the `plan` unit suite, called by
+//!   nothing else.
 //!
 //! # Canonical reduction order
 //!
-//! Both forms execute the same inner slice loops, and every broadcast
+//! All forms execute the same inner slice loops, and every broadcast
 //! reduction (a block of scan entries collapsing onto one separator
 //! slot) follows **one fixed reduction-tree order**, defined by
 //! [`sum_canonical`] and [`fold_max_canonical`] below. This is the
@@ -54,7 +59,7 @@
 //! paths: the order is part of the result, so it must not be tidied.
 
 use crate::index::AxisWalker;
-use crate::plan::{KernelPlan, PlanKind};
+use crate::plan::{check_len, BlockWalk, PlanKind};
 use crate::simd;
 use crate::{Domain, EntryRange, PotentialError, Result};
 
@@ -213,8 +218,11 @@ pub fn extend_range_into_raw(
     range: EntryRange,
     out: &mut [f64],
 ) -> Result<()> {
-    let plan = KernelPlan::compile(dst_domain, src_domain, range)?;
-    plan.extend_into(src, out)
+    let walk = BlockWalk::new(dst_domain, src_domain, range)?;
+    check_len(src_domain.size(), src.len())?;
+    check_len(range.len(), out.len())?;
+    simd::extend(walk.kind(), walk, src, out);
+    Ok(())
 }
 
 /// Walker form of [`extend_range_into_raw`]: same contract, index map
@@ -255,23 +263,26 @@ pub fn extend_range_into_walker(
 /// # Errors
 ///
 /// Same conditions as [`extend_range_into_raw`].
-pub fn multiply_range_into(
+pub fn multiply_range_into_raw(
     src_domain: &Domain,
     src: &[f64],
     dst_domain: &Domain,
     range: EntryRange,
     out: &mut [f64],
 ) -> Result<()> {
-    let plan = KernelPlan::compile(dst_domain, src_domain, range)?;
-    plan.multiply_into(src, out)
+    let walk = BlockWalk::new(dst_domain, src_domain, range)?;
+    check_len(src_domain.size(), src.len())?;
+    check_len(range.len(), out.len())?;
+    simd::mul(walk.kind(), walk, src, out);
+    Ok(())
 }
 
-/// Walker form of [`multiply_range_into`]: same contract, index map
+/// Walker form of [`multiply_range_into_raw`]: same contract, index map
 /// derived per call with an [`AxisWalker`].
 ///
 /// # Errors
 ///
-/// Same conditions as [`multiply_range_into`].
+/// Same conditions as [`multiply_range_into_raw`].
 pub fn multiply_range_into_walker(
     src_domain: &Domain,
     src: &[f64],
@@ -315,8 +326,11 @@ pub fn marginalize_range_into_raw(
     dst_domain: &Domain,
     dst: &mut [f64],
 ) -> Result<()> {
-    let plan = KernelPlan::compile(src_domain, dst_domain, range)?;
-    plan.marginalize_sum_into(src, dst)
+    let walk = BlockWalk::new(src_domain, dst_domain, range)?;
+    check_len(src_domain.size(), src.len())?;
+    check_len(dst_domain.size(), dst.len())?;
+    simd::marg_sum(walk.kind(), walk, &src[range.start..range.end], dst);
+    Ok(())
 }
 
 /// Walker form of [`marginalize_range_into_raw`]: same contract, index
@@ -378,8 +392,11 @@ pub fn max_marginalize_range_into_raw(
     dst_domain: &Domain,
     dst: &mut [f64],
 ) -> Result<()> {
-    let plan = KernelPlan::compile(src_domain, dst_domain, range)?;
-    plan.marginalize_max_into(src, dst)
+    let walk = BlockWalk::new(src_domain, dst_domain, range)?;
+    check_len(src_domain.size(), src.len())?;
+    check_len(dst_domain.size(), dst.len())?;
+    simd::marg_max(walk.kind(), walk, &src[range.start..range.end], dst);
+    Ok(())
 }
 
 /// Walker form of [`max_marginalize_range_into_raw`]: same contract,
@@ -579,7 +596,7 @@ mod tests {
         whole.multiply_assign(&factor).unwrap();
         let mut pieced = base.data().to_vec();
         for r in EntryRange::split(base.len(), 3) {
-            multiply_range_into(
+            multiply_range_into_raw(
                 factor.domain(),
                 factor.data(),
                 base.domain(),
@@ -649,7 +666,7 @@ mod tests {
         let other = dom(&[(5, 2)]);
         let src = [1.0, 2.0];
         let mut out = [0.0, 0.0];
-        let err = multiply_range_into(&other, &src, &big, EntryRange::full(2), &mut out);
+        let err = multiply_range_into_raw(&other, &src, &big, EntryRange::full(2), &mut out);
         assert!(matches!(err, Err(PotentialError::NotSubdomain { .. })));
     }
 }

@@ -35,11 +35,13 @@
 //!   bits by construction. Division keeps the Hugin `x/0 = 0`
 //!   convention through [`safe_div`], whose zero result is `+0.0`.
 //!
-//! The fused `marg_*` / `mul_*` loops run a whole plan's segment list in
-//! one call; each performs the exact per-segment operation sequence of
-//! the single-block loop it is named after.
+//! The fused `marg_*` / `extend` / `mul` loops run a whole segment
+//! stream in one call — a compiled plan's list or a streamed
+//! [`BlockWalk`](crate::plan::BlockWalk), the same segments either way;
+//! each performs the exact per-segment operation sequence of the
+//! single-block loop it calls.
 
-use crate::plan::Segment;
+use crate::plan::{PlanKind, Segment};
 use crate::primitives::safe_div;
 use crate::raw::{fold_max_canonical, reduce_add_into};
 
@@ -93,72 +95,119 @@ pub(crate) fn div_assign(dst: &mut [f64], den: &[f64]) {
     }
 }
 
-/// Contig sum-marginalization: `dst[tb..tb+len] += src[pos..]` per
-/// segment (`src` is the plan's range window).
-pub(crate) fn marg_sum_contig(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
+/// Sum-marginalization of a range window `src` (segments in scan
+/// order): contig segments `dst[tb..tb+len] += src[pos..]`, broadcast
+/// segments `dst[tb] +=` the canonical-order sum of their block
+/// (one-entry blocks add directly).
+pub(crate) fn marg_sum(
+    kind: PlanKind,
+    segs: impl IntoIterator<Item = Segment>,
+    src: &[f64],
+    dst: &mut [f64],
+) {
     let mut pos = 0;
-    for seg in segs {
-        add_assign(
-            &mut dst[seg.target_base..seg.target_base + seg.len],
-            &src[pos..pos + seg.len],
-        );
-        pos += seg.len;
+    match kind {
+        PlanKind::Contig => {
+            for seg in segs {
+                add_assign(
+                    &mut dst[seg.target_base..seg.target_base + seg.len],
+                    &src[pos..pos + seg.len],
+                );
+                pos += seg.len;
+            }
+        }
+        PlanKind::Broadcast => {
+            for seg in segs {
+                reduce_add_into(&mut dst[seg.target_base], &src[pos..pos + seg.len]);
+                pos += seg.len;
+            }
+        }
     }
 }
 
-/// Broadcast sum-marginalization: `dst[tb] +=` canonical-order sum of
-/// each segment's block (one-entry blocks add directly).
-pub(crate) fn marg_sum_broadcast(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
+/// Max-marginalization: elementwise select per contig segment, the
+/// canonical-order max fold of each broadcast block into its slot.
+pub(crate) fn marg_max(
+    kind: PlanKind,
+    segs: impl IntoIterator<Item = Segment>,
+    src: &[f64],
+    dst: &mut [f64],
+) {
     let mut pos = 0;
-    for seg in segs {
-        reduce_add_into(&mut dst[seg.target_base], &src[pos..pos + seg.len]);
-        pos += seg.len;
+    match kind {
+        PlanKind::Contig => {
+            for seg in segs {
+                max_assign(
+                    &mut dst[seg.target_base..seg.target_base + seg.len],
+                    &src[pos..pos + seg.len],
+                );
+                pos += seg.len;
+            }
+        }
+        PlanKind::Broadcast => {
+            for seg in segs {
+                let slot = &mut dst[seg.target_base];
+                *slot = fold_max_canonical(*slot, &src[pos..pos + seg.len]);
+                pos += seg.len;
+            }
+        }
     }
 }
 
-/// Contig max-marginalization: elementwise select per segment.
-pub(crate) fn marg_max_contig(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
+/// Extension into a range window `out` of the scan-domain destination:
+/// contig segments copy `src[tb..tb+len]`, broadcast segments fill with
+/// `src[tb]` (`src` is the full target-domain table).
+pub(crate) fn extend(
+    kind: PlanKind,
+    segs: impl IntoIterator<Item = Segment>,
+    src: &[f64],
+    out: &mut [f64],
+) {
     let mut pos = 0;
-    for seg in segs {
-        max_assign(
-            &mut dst[seg.target_base..seg.target_base + seg.len],
-            &src[pos..pos + seg.len],
-        );
-        pos += seg.len;
+    match kind {
+        PlanKind::Contig => {
+            for seg in segs {
+                out[pos..pos + seg.len]
+                    .copy_from_slice(&src[seg.target_base..seg.target_base + seg.len]);
+                pos += seg.len;
+            }
+        }
+        PlanKind::Broadcast => {
+            for seg in segs {
+                out[pos..pos + seg.len].fill(src[seg.target_base]);
+                pos += seg.len;
+            }
+        }
     }
 }
 
-/// Broadcast max-marginalization: canonical-order max fold of each
-/// segment's block into its slot.
-pub(crate) fn marg_max_broadcast(segs: &[Segment], src: &[f64], dst: &mut [f64]) {
-    let mut pos = 0;
-    for seg in segs {
-        let slot = &mut dst[seg.target_base];
-        *slot = fold_max_canonical(*slot, &src[pos..pos + seg.len]);
-        pos += seg.len;
-    }
-}
-
-/// Contig multiplication: `out[pos..] *= src[tb..tb+len]` per segment
-/// (`out` is the plan's range window, `src` the full target-domain
+/// Multiplication of a range window `out`: contig segments
+/// `out[pos..] *= src[tb..tb+len]`, broadcast segments
+/// `out[pos..pos+len] *= src[tb]` (`src` is the full target-domain
 /// factor).
-pub(crate) fn mul_contig(segs: &[Segment], src: &[f64], out: &mut [f64]) {
+pub(crate) fn mul(
+    kind: PlanKind,
+    segs: impl IntoIterator<Item = Segment>,
+    src: &[f64],
+    out: &mut [f64],
+) {
     let mut pos = 0;
-    for seg in segs {
-        mul_assign(
-            &mut out[pos..pos + seg.len],
-            &src[seg.target_base..seg.target_base + seg.len],
-        );
-        pos += seg.len;
-    }
-}
-
-/// Broadcast multiplication: `out[pos..pos+len] *= src[tb]` per segment.
-pub(crate) fn mul_broadcast(segs: &[Segment], src: &[f64], out: &mut [f64]) {
-    let mut pos = 0;
-    for seg in segs {
-        mul_scalar(&mut out[pos..pos + seg.len], src[seg.target_base]);
-        pos += seg.len;
+    match kind {
+        PlanKind::Contig => {
+            for seg in segs {
+                mul_assign(
+                    &mut out[pos..pos + seg.len],
+                    &src[seg.target_base..seg.target_base + seg.len],
+                );
+                pos += seg.len;
+            }
+        }
+        PlanKind::Broadcast => {
+            for seg in segs {
+                mul_scalar(&mut out[pos..pos + seg.len], src[seg.target_base]);
+                pos += seg.len;
+            }
+        }
     }
 }
 

@@ -169,12 +169,6 @@ impl PotentialTable {
         self.fill(1.0);
     }
 
-    /// Resets every entry to `0.0` in place (scratch buffers between
-    /// serving queries).
-    pub fn reset_zeros(&mut self) {
-        self.fill(0.0);
-    }
-
     /// Multiplies every entry by `factor`.
     pub fn scale(&mut self, factor: f64) {
         for v in &mut self.data {
@@ -393,8 +387,6 @@ mod tests {
         assert_eq!(dst.data(), src.data());
         dst.reset_ones();
         assert_eq!(dst.data(), &[1.0, 1.0]);
-        dst.reset_zeros();
-        assert_eq!(dst.data(), &[0.0, 0.0]);
         // mismatched domains are rejected, even at equal size
         let other = PotentialTable::ones(dom(&[(1, 2)]));
         assert_eq!(dst.copy_from(&other), Err(PotentialError::DomainMismatch));

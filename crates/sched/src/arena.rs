@@ -81,9 +81,25 @@
 //! carries the edge, exactly as the dependency counters do within a
 //! job). Buffer *layout* (count and domains, checked by
 //! [`TableArena::matches`]) is what ties an arena to a task graph;
-//! contents are irrelevant to soundness because every propagation fully
-//! overwrites the buffers it reads through the DAG's write-before-read
-//! ordering.
+//! contents are irrelevant to soundness: every window is bounded by the
+//! arena's own table lengths.
+//!
+//! They matter to the answer, and `reset` rewrites exactly the buffers
+//! a job reads before it writes them: the clique potentials (copy plus
+//! hard and soft evidence) and the `Ones` separators. It leaves the
+//! [`BufferInit::Scratch`] buffers (`sep_up`, `ratio_up`, `ext_up` and
+//! their distribute twins) as the last job left them, because every
+//! graph the builders emit — two-phase, collect-only, max-product and
+//! `replicate`d — writes each scratch buffer over its full length
+//! before any task reads it: a marginalization zero-fills its
+//! destination before accumulating, divide and extend overwrite
+//! theirs, and δ-partitioned parts tile the whole range. A job that was
+//! cancelled or panicked halfway leaves scratch half-written, which the
+//! next full job overwrites the same way. Incremental slices are the
+//! one reader of scratch an earlier job wrote (cached `ext_up` /
+//! `sep_*` messages of clean subtrees); they run only after
+//! [`TableArena::reset_cliques`] or a full job, never after a bare
+//! `reset`.
 //!
 //! ## Layout identity
 //!
@@ -130,10 +146,13 @@ unsafe impl Sync for TableArena {}
 impl TableArena {
     /// Allocates and initializes every buffer of `graph`:
     /// clique buffers copy `clique_potentials` (then absorb `evidence`),
-    /// separators start at ones, scratch at zeros. Hard evidence is
-    /// absorbed into every containing clique (idempotent); each soft
-    /// likelihood is multiplied into exactly **one** clique — applying it
-    /// twice would double-count the observation.
+    /// separators start at ones, scratch at zeros (only so a fresh
+    /// arena's contents are defined: built graphs write scratch before
+    /// reading it).
+    /// Hard evidence is absorbed into every containing clique
+    /// (idempotent); each soft likelihood is multiplied into exactly
+    /// **one** clique — applying it twice would double-count the
+    /// observation.
     ///
     /// # Panics
     ///
@@ -159,7 +178,7 @@ impl TableArena {
                         t
                     }
                     BufferInit::Ones => PotentialTable::ones(spec.domain.clone()),
-                    BufferInit::Zeros => PotentialTable::zeros(spec.domain.clone()),
+                    BufferInit::Scratch => PotentialTable::zeros(spec.domain.clone()),
                 };
                 UnsafeCell::new(table)
             })
@@ -204,12 +223,19 @@ impl TableArena {
         self.layout_id = graph.layout_id();
     }
 
-    /// Re-initializes every buffer **in place** for a fresh query:
-    /// identical post-state to [`TableArena::initialize`] with zero
-    /// allocations — clique buffers copy `clique_potentials` again and
-    /// absorb `evidence`, separators reset to ones, scratch to zeros.
-    /// This is the steady-state serving path: compile and allocate once,
-    /// reset per query.
+    /// Re-initializes **what a job reads before writing** in place for
+    /// a fresh query, with zero allocations: clique buffers copy
+    /// `clique_potentials` again and absorb `evidence`, separators
+    /// reset to ones. [`BufferInit::Scratch`] buffers keep whatever the
+    /// last job left — every graph the [`TaskGraph`] builders emit
+    /// overwrites each of them before any task reads it, so a full job
+    /// after `reset` computes bit-for-bit what it computes after
+    /// [`TableArena::initialize`]. This is the steady-state serving
+    /// path: compile and allocate once, reset per query.
+    ///
+    /// An incremental slice reads scratch a previous job left behind
+    /// and runs after [`TableArena::reset_cliques`] or a full job,
+    /// never after a bare `reset`.
     ///
     /// # Panics
     ///
@@ -234,7 +260,9 @@ impl TableArena {
                         .expect("evidence states are validated upstream");
                 }
                 BufferInit::Ones => t.reset_ones(),
-                BufferInit::Zeros => t.reset_zeros(),
+                // Write-before-read in every built graph: see
+                // "Reuse across jobs" in the module docs.
+                BufferInit::Scratch => {}
             }
         }
         apply_soft_and_check(graph, evidence, &mut self.cells);
@@ -717,6 +745,9 @@ mod tests {
         assert_eq!(tables[0].data(), pots[0].data());
     }
 
+    /// `reset` restores every buffer a job reads before writing — the
+    /// clique and `Ones` buffers — to what `initialize` gives, and
+    /// leaves scratch exactly as the last job left it.
     #[test]
     fn reset_equals_fresh_initialize() {
         let (g, pots) = two_clique_graph();
@@ -724,18 +755,25 @@ mod tests {
         ev.observe(VarId(0), 1);
         ev.observe_likelihood(VarId(2), vec![0.2, 0.9]);
 
-        // dirty the arena with a different query first
+        // dirty every buffer with a different query first
         let mut dirty_ev = EvidenceSet::new();
         dirty_ev.observe(VarId(2), 0);
         let mut arena = TableArena::initialize(&g, &pots, &dirty_ev);
+        for t in arena.tables_mut() {
+            t.fill(7.5);
+        }
         assert!(arena.matches(&g));
         arena.reset(&g, &pots, &ev);
 
         let fresh = TableArena::initialize(&g, &pots, &ev);
         let (a, b) = (arena.into_tables(), fresh.into_tables());
         assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert!(x.approx_eq(y, 0.0), "buffer {i} differs after reset");
+        for (i, ((x, y), spec)) in a.iter().zip(&b).zip(g.buffers()).enumerate() {
+            if spec.init == BufferInit::Scratch {
+                assert!(x.data().iter().all(|&v| v == 7.5), "scratch {i} rewritten");
+            } else {
+                assert_eq!(x.data(), y.data(), "buffer {i} differs after reset");
+            }
         }
     }
 

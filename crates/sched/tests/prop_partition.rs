@@ -17,8 +17,8 @@
 //!   asserted exactly.
 
 use evprop_potential::{EvidenceSet, PotentialTable, VarId};
-use evprop_sched::{run_collaborative, SchedulerConfig, TableArena};
-use evprop_taskgraph::{execute_full, PropagationMode, TaskGraph};
+use evprop_sched::{run_collaborative, CollabPool, SchedulerConfig, TableArena};
+use evprop_taskgraph::{execute_full, BufferInit, PropagationMode, TaskGraph};
 use evprop_workloads::{materialize, random_tree, TreeParams};
 use proptest::prelude::*;
 
@@ -105,6 +105,58 @@ proptest! {
                             i, threads, delta
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// `TableArena::reset` leaves scratch alone: on an arena a previous
+    /// job used, every `Scratch` buffer filled with NaN, `reset` plus a
+    /// job ends bit-for-bit where a freshly initialized arena ends — at
+    /// every thread count, δ and algebra. A read of scratch before its
+    /// writer would carry the NaN into the answer.
+    #[test]
+    fn poisoned_scratch_is_never_read(
+        seed in 0u64..1_000_000,
+        num_cliques in 2usize..10,
+        width in 2usize..5,
+        degree in 1usize..4,
+        max_mode in proptest::bool::ANY,
+    ) {
+        let shape = random_tree(&TreeParams::new(num_cliques, width, 2, degree).with_seed(seed));
+        let jt = materialize(&shape, seed);
+        let mode = if max_mode {
+            PropagationMode::MaxProduct
+        } else {
+            PropagationMode::SumProduct
+        };
+        let graph = TaskGraph::from_shape_mode(&shape, mode);
+        let mut ev = EvidenceSet::new();
+        ev.observe(VarId(0), (seed % 2) as usize);
+        for threads in [1usize, 2, 4] {
+            let pool = CollabPool::new(threads);
+            for delta in [None, Some(1), Some(64)] {
+                let mut cfg = SchedulerConfig::with_threads(threads);
+                cfg.partition_threshold = delta;
+                let fresh = TableArena::initialize(&graph, jt.potentials(), &ev);
+                pool.run(&graph, &fresh, &cfg).expect("job runs");
+
+                let mut used = TableArena::initialize(&graph, jt.potentials(), &EvidenceSet::new());
+                pool.run(&graph, &used, &cfg).expect("job runs");
+                for (t, spec) in used.tables_mut().iter_mut().zip(graph.buffers()) {
+                    if spec.init == BufferInit::Scratch {
+                        t.fill(f64::NAN);
+                    }
+                }
+                used.reset(&graph, jt.potentials(), &ev);
+                pool.run(&graph, &used, &cfg).expect("job runs");
+
+                for (i, (want, got)) in fresh.into_tables().iter().zip(used.into_tables()).enumerate() {
+                    let bits = |t: &PotentialTable| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(
+                        bits(want), bits(&got),
+                        "buffer {} (threads {}, delta {:?})", i, threads, delta
+                    );
                 }
             }
         }

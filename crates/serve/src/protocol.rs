@@ -817,7 +817,28 @@ pub fn check_likelihood_weights(var_name: &str, weights: &[f64]) -> Result<(), S
 /// Formats a successful answer as one response line (no trailing
 /// newline). Floats use Rust's shortest-roundtrip formatting, so the
 /// output is deterministic — the golden-file smoke test depends on it.
+///
+/// JSON has no `NaN` or `Infinity`: a marginal with a non-finite entry
+/// is answered with an error line instead (the engines refuse such
+/// marginals first — `EngineError::EvidenceOverflow` — so this only
+/// keeps a future regression from putting non-JSON on the wire).
 pub fn format_response(names: &dyn ModelNames, target: VarId, marginal: &PotentialTable) -> String {
+    response_line(names, target, marginal).unwrap_or_else(|error| error)
+}
+
+/// The answer line of [`format_response`], or the error line that
+/// replaces it when an entry of `marginal` is not a finite number.
+fn response_line(
+    names: &dyn ModelNames,
+    target: VarId,
+    marginal: &PotentialTable,
+) -> Result<String, String> {
+    if let Some(p) = marginal.data().iter().find(|p| !p.is_finite()) {
+        return Err(format_error(&format!(
+            "marginal of '{}' has the non-finite entry {p}, which JSON cannot carry",
+            names.var_name(target)
+        )));
+    }
     let mut out = String::from("{\"target\":\"");
     escape_into(&mut out, &names.var_name(target));
     out.push_str("\",\"states\":[");
@@ -837,7 +858,7 @@ pub fn format_response(names: &dyn ModelNames, target: VarId, marginal: &Potenti
         out.push_str(&format!("{p}"));
     }
     out.push_str("]}");
-    out
+    Ok(out)
 }
 
 /// Formats a successful answer with the opt-in timing pair appended:
@@ -849,7 +870,10 @@ pub fn format_response_timed(
     marginal: &PotentialTable,
     timing: &QueryTiming,
 ) -> String {
-    let mut out = format_response(names, target, marginal);
+    let mut out = match response_line(names, target, marginal) {
+        Ok(out) => out,
+        Err(error) => return error,
+    };
     out.pop(); // reopen the object: drop the trailing '}'
     out.push_str(&format!(
         ",\"queue_us\":{},\"exec_us\":{},\"shard\":{}}}",
@@ -894,7 +918,10 @@ pub fn format_session_response(
     marginal: &PotentialTable,
     mode: &evprop_incremental::QueryMode,
 ) -> String {
-    let mut out = format_response(names, target, marginal);
+    let mut out = match response_line(names, target, marginal) {
+        Ok(out) => out,
+        Err(error) => return error,
+    };
     out.pop(); // reopen the object: drop the trailing '}'
     out.push_str(&format!(",\"mode\":\"{}\"", mode.label()));
     if let evprop_incremental::QueryMode::Incremental { dirty_cliques, .. } = mode {
@@ -1224,6 +1251,37 @@ mod tests {
             .collect();
         assert_eq!(got, m.data(), "shortest-roundtrip floats survive");
         assert_eq!(v.get("target"), Some(&Json::Str("v3".into())));
+    }
+
+    /// `NaN` and `inf` are not JSON: every answer formatter turns a
+    /// non-finite marginal into a parseable error line.
+    #[test]
+    fn non_finite_marginals_become_error_lines() {
+        let names = asia_names();
+        let domain =
+            evprop_potential::Domain::new(vec![evprop_potential::Variable::binary(VarId(3))])
+                .unwrap();
+        let timing = QueryTiming {
+            queue: std::time::Duration::ZERO,
+            exec: std::time::Duration::ZERO,
+            shard: 0,
+        };
+        let mode = evprop_incremental::QueryMode::Cached;
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let m = PotentialTable::from_data(domain.clone(), vec![bad, 0.5]).unwrap();
+            for line in [
+                format_response(&names, VarId(3), &m),
+                format_response_timed(&names, VarId(3), &m, &timing),
+                format_session_response(&names, VarId(3), &m, &mode),
+            ] {
+                let v = parse_json(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+                let Some(Json::Str(error)) = v.get("error") else {
+                    panic!("not an error line: {line}");
+                };
+                assert!(error.contains("non-finite entry"), "{error}");
+                assert!(v.get("marginal").is_none(), "{line}");
+            }
+        }
     }
 
     #[test]

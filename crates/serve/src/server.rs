@@ -531,6 +531,29 @@ mod tests {
         server.stop();
     }
 
+    /// Finite weights can still overflow `P(C, e)`: the answer is an
+    /// error line naming the overflow, never a `NaN` marginal (which is
+    /// not JSON); exact-zero evidence keeps its own error.
+    #[test]
+    fn overflowing_likelihoods_answer_an_error_line() {
+        let (mut server, addr) = boot();
+        let stream = TcpStream::connect(addr).unwrap();
+        for request in [
+            r#"{"target":"v3","likelihood":{"v0":[1e200,1],"v1":[1e200,1]}}"#,
+            r#"{"target":"v3","likelihood":{"v0":[1e200,1],"v1":[1e200,1]},"timing":true}"#,
+        ] {
+            let line = roundtrip(&stream, request);
+            let v = crate::protocol::parse_json(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let Some(crate::protocol::Json::Str(error)) = v.get("error") else {
+                panic!("not an error line: {line}");
+            };
+            assert!(error.starts_with("evidence overflows f64"), "{error}");
+        }
+        let zero = roundtrip(&stream, r#"{"target":"v4","evidence":{"v3":1,"v5":0}}"#);
+        assert!(zero.contains("probability zero"), "{zero}");
+        server.stop();
+    }
+
     #[test]
     fn concurrent_connections_are_isolated() {
         let (mut server, addr) = boot();

@@ -84,28 +84,28 @@ impl TaskGraph {
                 }),
                 sep_up: g.push_buffer(BufferSpec {
                     domain: sep.clone(),
-                    init: BufferInit::Zeros,
+                    init: BufferInit::Scratch,
                 }),
                 ratio_up: g.push_buffer(BufferSpec {
                     domain: sep.clone(),
-                    init: BufferInit::Zeros,
+                    init: BufferInit::Scratch,
                 }),
                 ext_up: g.push_buffer(BufferSpec {
                     domain: shape.domain(p).clone(),
-                    init: BufferInit::Zeros,
+                    init: BufferInit::Scratch,
                 }),
                 down: include_distribute.then(|| DownBuffers {
                     sep_down: g.push_buffer(BufferSpec {
                         domain: sep.clone(),
-                        init: BufferInit::Zeros,
+                        init: BufferInit::Scratch,
                     }),
                     ratio_down: g.push_buffer(BufferSpec {
                         domain: sep.clone(),
-                        init: BufferInit::Zeros,
+                        init: BufferInit::Scratch,
                     }),
                     ext_down: g.push_buffer(BufferSpec {
                         domain: shape.domain(c).clone(),
-                        init: BufferInit::Zeros,
+                        init: BufferInit::Scratch,
                     }),
                 }),
             };

@@ -53,8 +53,13 @@ pub enum BufferInit {
     CliquePotential(CliqueId),
     /// Fill with ones (separators, ψ_S ≡ 1 initially).
     Ones,
-    /// Fill with zeros (marginalization targets, scratch).
-    Zeros,
+    /// Scratch (marginalization targets, ratios, extended ratios):
+    /// contents unspecified until a task writes them; `initialize`
+    /// zero-fills, `reset` leaves them. Every graph `build` emits
+    /// writes each scratch buffer over its full length before any task
+    /// reads it; an incremental slice may read one a previous full job
+    /// or slice left behind.
+    Scratch,
 }
 
 /// Size and initialization of one buffer.

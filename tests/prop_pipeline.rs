@@ -6,9 +6,34 @@ use evprop::bayesnet::{random_network, JointDistribution, RandomNetworkConfig};
 use evprop::core::{CollaborativeEngine, Engine, InferenceSession, SequentialEngine};
 use evprop::potential::{EvidenceSet, VarId};
 use evprop::sched::SchedulerConfig;
-use evprop::taskgraph::TaskGraph;
+use evprop::taskgraph::{BufferInit, PropagationMode, TaskGraph};
 use evprop::workloads::{materialize, random_tree, TreeParams};
 use proptest::prelude::*;
+
+/// The arena-reset contract on one graph: every task that reads a
+/// `Scratch` buffer has a writer of that buffer among its DAG ancestors
+/// (tasks write whole buffers, so that writer covered all of it).
+fn scratch_is_written_before_read(g: &TaskGraph) -> Result<(), String> {
+    let order = g.topological_order().ok_or("cyclic")?;
+    // written[t][b]: some strict ancestor of t writes buffer b
+    let mut written: Vec<Vec<bool>> = vec![vec![false; g.buffers().len()]; g.num_tasks()];
+    for &t in &order {
+        for b in g.task(t).kind.reads() {
+            if g.buffers()[b.index()].init == BufferInit::Scratch && !written[t.index()][b.index()]
+            {
+                return Err(format!("{t:?} reads scratch {b:?} before any writer"));
+            }
+        }
+        let mut mine = written[t.index()].clone();
+        mine[g.task(t).kind.dst().index()] = true;
+        for &s in g.successors(t) {
+            for (w, &m) in written[s.index()].iter_mut().zip(&mine) {
+                *w |= m;
+            }
+        }
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -89,5 +114,29 @@ proptest! {
         prop_assert!(g.critical_path_weight() <= g.total_weight());
         // every task is reachable: topological order covers all
         prop_assert_eq!(g.topological_order().unwrap().len(), g.num_tasks());
+    }
+
+    /// Every graph the builders emit — two-phase and collect-only, sum
+    /// and max, and their replicas — writes each scratch buffer before
+    /// any task reads it: what lets `TableArena::reset` leave scratch
+    /// alone.
+    #[test]
+    fn built_graphs_write_scratch_before_reading_it(
+        seed in 0u64..5000,
+        n in 1usize..40,
+        w in 2usize..7,
+        k in 1usize..6,
+        max in proptest::bool::ANY,
+        copies in 1usize..4,
+    ) {
+        let shape = random_tree(&TreeParams::new(n, w, 2, k).with_seed(seed));
+        let mode = if max { PropagationMode::MaxProduct } else { PropagationMode::SumProduct };
+        for g in [TaskGraph::from_shape_mode(&shape, mode), TaskGraph::collect_only(&shape, mode)] {
+            prop_assert!(g.buffers().iter().any(|b| b.init == BufferInit::Scratch) || n == 1);
+            for graph in [g.replicate(copies), g] {
+                let checked = scratch_is_written_before_read(&graph);
+                prop_assert!(checked.is_ok(), "{:?}", checked);
+            }
+        }
     }
 }

@@ -1,19 +1,22 @@
-//! Property tests for compiled kernel plans: the plan interpreter must
-//! be **bit-for-bit** identical to the stride-walking kernels, for
-//! every (scan, target) domain pair a random junction tree produces,
-//! under every partition grain δ — and the scheduler built on top of
-//! the plans must stay bitwise thread-count-invariant.
+//! Property tests for compiled kernel plans: the plan interpreter and
+//! the streamed `*_raw` entry points must be **bit-for-bit** identical
+//! to the stride-walking kernels, for random domains and for every
+//! (scan, target) domain pair a random junction tree produces, under
+//! every partition grain δ — and the scheduler built on top of the
+//! plans must stay bitwise thread-count-invariant.
 //!
 //! These complement `prop_pipeline.rs` (which checks engines against
 //! the brute-force oracle with tolerances); here the assertion is
 //! exact equality of `f64::to_bits`.
 
 use evprop::core::{CollaborativeEngine, Engine, SequentialEngine};
-use evprop::potential::{raw, EntryRange, EvidenceSet};
+use evprop::potential::plan::{KernelPlan, PlanKind, Segment};
+use evprop::potential::{raw, AxisWalker, Domain, EntryRange, EvidenceSet, VarId, Variable};
 use evprop::sched::SchedulerConfig;
 use evprop::taskgraph::TaskGraph;
 use evprop::workloads::{materialize, random_tree, TreeParams};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Partition grains: single-entry subtasks, the awkward prime, and the
@@ -25,8 +28,150 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// A random (scan, target ⊆ scan) pair: up to six axes of one to three
+/// states — cardinality-1 axes included, in any position — with
+/// non-consecutive ids, and a random subset of them as the target.
+fn random_domains(rng: &mut StdRng) -> (Domain, Domain) {
+    let width = rng.gen_range(0..7usize);
+    let vars: Vec<Variable> = (0..width)
+        .map(|i| {
+            Variable::new(
+                VarId(3 * i as u32 + rng.gen_range(0..3u32)),
+                rng.gen_range(1..4usize),
+            )
+        })
+        .collect();
+    let keep: Vec<VarId> = vars
+        .iter()
+        .filter(|_| rng.gen_bool(0.5))
+        .map(|v| v.id())
+        .collect();
+    let scan = Domain::new(vars).expect("distinct ids");
+    let target = scan.project(&keep);
+    (scan, target)
+}
+
+/// Ranges over a table of `len` entries: the empty ranges at both ends
+/// and inside, one entry, the whole table, and random cuts (which land
+/// mid-block whenever blocks are longer than one entry).
+fn ranges_of(len: usize, rng: &mut StdRng) -> Vec<EntryRange> {
+    let mut out = vec![
+        EntryRange { start: 0, end: 0 },
+        EntryRange {
+            start: len,
+            end: len,
+        },
+        EntryRange::full(len),
+    ];
+    for _ in 0..4 {
+        let a = rng.gen_range(0..=len);
+        let b = rng.gen_range(0..=len);
+        out.push(EntryRange {
+            start: a.min(b),
+            end: a.max(b),
+        });
+        let one = rng.gen_range(0..len);
+        out.push(EntryRange {
+            start: one,
+            end: one + 1,
+        });
+    }
+    out
+}
+
+/// The canonical segment list the slow way — the reference for
+/// `KernelPlan::compile`: the uniform-suffix block rule applied from
+/// scratch, an `AxisWalker` sought afresh at every block, contiguous
+/// runs fused across block boundaries.
+fn per_block_seek(scan: &Domain, target: &Domain, range: EntryRange) -> (PlanKind, Vec<Segment>) {
+    let tstrides = scan.strides_in(target);
+    let width = scan.width();
+    let last_present = width > 0 && tstrides[width - 1] != 0;
+    let kind = if width == 0 || last_present {
+        PlanKind::Contig
+    } else {
+        PlanKind::Broadcast
+    };
+    let block: usize = (0..width)
+        .rev()
+        .take_while(|&p| (tstrides[p] != 0) == last_present)
+        .map(|p| scan.vars()[p].cardinality())
+        .product();
+    let mut walker = AxisWalker::new(scan, tstrides);
+    let mut segs: Vec<Segment> = Vec::new();
+    let mut pos = range.start;
+    while pos < range.end {
+        let len = (pos - pos % block + block).min(range.end) - pos;
+        walker.seek(scan, pos);
+        let base = walker.target_index();
+        match segs.last_mut() {
+            Some(prev) if kind == PlanKind::Contig && prev.target_base + prev.len == base => {
+                prev.len += len;
+            }
+            _ => segs.push(Segment {
+                target_base: base,
+                len,
+            }),
+        }
+        pos += len;
+    }
+    (kind, segs)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The block walk, collected and streamed, on random domains and
+    /// ranges: `KernelPlan::compile` yields the reference segments, and
+    /// each streamed `*_raw` entry point computes the bits of its
+    /// `*_walker` oracle.
+    #[test]
+    fn block_walk_matches_per_block_seek_and_walkers(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..16 {
+            let (scan, target) = random_domains(&mut rng);
+            let scan_data: Vec<f64> =
+                (0..scan.size()).map(|_| rng.gen_range(0.01..1.0)).collect();
+            let target_data: Vec<f64> =
+                (0..target.size()).map(|_| rng.gen_range(0.01..1.0)).collect();
+            for r in ranges_of(scan.size(), &mut rng) {
+                let case = format!("scan {scan:?} target {target:?} range {r:?}");
+                let plan = KernelPlan::compile(&scan, &target, r).expect("in bounds");
+                let (kind, segs) = per_block_seek(&scan, &target, r);
+                prop_assert_eq!(plan.kind(), kind, "{}", &case);
+                prop_assert_eq!(plan.segments(), &segs[..], "{}", &case);
+
+                let start: Vec<f64> =
+                    (0..target.size()).map(|_| rng.gen_range(0.0..1.0)).collect();
+                let (mut raw_sum, mut walk_sum) = (start.clone(), start.clone());
+                raw::marginalize_range_into_raw(&scan, &scan_data, r, &target, &mut raw_sum)
+                    .unwrap();
+                raw::marginalize_range_into_walker(&scan, &scan_data, r, &target, &mut walk_sum)
+                    .unwrap();
+                prop_assert_eq!(bits(&raw_sum), bits(&walk_sum), "sum {}", &case);
+                let (mut raw_max, mut walk_max) = (start.clone(), start);
+                raw::max_marginalize_range_into_raw(&scan, &scan_data, r, &target, &mut raw_max)
+                    .unwrap();
+                raw::max_marginalize_range_into_walker(
+                    &scan, &scan_data, r, &target, &mut walk_max).unwrap();
+                prop_assert_eq!(bits(&raw_max), bits(&walk_max), "max {}", &case);
+
+                let window = &scan_data[r.start..r.end];
+                let (mut raw_ext, mut walk_ext) = (window.to_vec(), window.to_vec());
+                raw::extend_range_into_raw(&target, &target_data, &scan, r, &mut raw_ext)
+                    .unwrap();
+                raw::extend_range_into_walker(&target, &target_data, &scan, r, &mut walk_ext)
+                    .unwrap();
+                prop_assert_eq!(bits(&raw_ext), bits(&walk_ext), "extend {}", &case);
+                let (mut raw_mul, mut walk_mul) = (window.to_vec(), window.to_vec());
+                raw::multiply_range_into_raw(&target, &target_data, &scan, r, &mut raw_mul)
+                    .unwrap();
+                raw::multiply_range_into_walker(&target, &target_data, &scan, r, &mut walk_mul)
+                    .unwrap();
+                prop_assert_eq!(bits(&raw_mul), bits(&walk_mul), "multiply {}", &case);
+            }
+        }
+    }
 
     /// Every cross-domain task of a random tree, every δ: interpreting
     /// the interned plans (sum, max, extend, multiply) produces the
@@ -40,7 +185,7 @@ proptest! {
     ) {
         let shape = random_tree(&TreeParams::new(n, w, 2, k).with_seed(seed));
         let graph = TaskGraph::from_shape(&shape);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xB17_1DEA);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xB17_1DEA);
         for t in (0..graph.num_tasks()).map(evprop::taskgraph::TaskId) {
             let Some((scan, target)) = graph.scan_target_domains(t) else {
                 continue; // Divide never crosses domains
