@@ -13,8 +13,9 @@
 //! * [`CollaborativeEngine`] — the paper's contribution: decentralized
 //!   scheduling with per-thread ready lists and δ-partitioning of large
 //!   tasks. It is [`ShardState`] under the paper's name: worker threads
-//!   spawned once, table arenas recycled, so a steady-state query pays
-//!   only for propagation (compile once, serve many — see
+//!   spawned once (none at one thread, where the caller runs the job),
+//!   table arenas recycled, so a steady-state query pays only for
+//!   propagation (compile once, serve many — see
 //!   [`InferenceSession::posterior_batch`]).
 //!
 //! The paper's OpenMP-style and data-parallel baselines and its

@@ -136,10 +136,11 @@ impl InferenceSession {
     }
 
     /// The session's resident serving engine — worker threads spawned
-    /// once, table arenas recycled across queries — created with the
-    /// default [`SchedulerConfig`] on first use. To pick the
-    /// configuration, call [`InferenceSession::pooled_engine_with`]
-    /// before the first pooled query.
+    /// once (none at one thread), table arenas recycled across queries
+    /// — created with the default [`SchedulerConfig`] on first use. To
+    /// pick the configuration, call
+    /// [`InferenceSession::pooled_engine_with`] before the first pooled
+    /// query.
     pub fn pooled_engine(&self) -> &CollaborativeEngine {
         self.pooled
             .get_or_init(|| CollaborativeEngine::new(SchedulerConfig::default()))

@@ -27,6 +27,9 @@ const MAX_CACHED_ARENAS: usize = 4;
 /// of large tasks (a [`CollabPool`]), spawned **once**, over recycled
 /// [`TableArena`]s — the steady-state cost of a query is the
 /// propagation itself, with no thread spawn and no table allocation.
+/// At `P = 1` no thread is spawned at all: the thread that calls
+/// [`ShardState::run_job`] (a serving dispatcher, a session's caller,
+/// [`ShardState::calibrate`]) runs the one-worker walk itself.
 ///
 /// All methods take `&self`; concurrent callers are serialized on the
 /// pool's submission lock, which is exactly the invariant the arena's
@@ -78,7 +81,8 @@ impl std::fmt::Debug for ShardState {
 }
 
 impl ShardState {
-    /// A shard with resident `config.num_threads` workers.
+    /// A shard with resident `config.num_threads` workers (no thread
+    /// at one worker: callers run its jobs).
     pub fn new(config: SchedulerConfig) -> Self {
         ShardState {
             pool: CollabPool::new(config.num_threads),
@@ -127,7 +131,7 @@ impl ShardState {
         &self.config
     }
 
-    /// Number of resident worker threads.
+    /// Number of workers every job runs on.
     pub fn num_threads(&self) -> usize {
         self.pool.num_threads()
     }
@@ -150,14 +154,16 @@ impl ShardState {
     }
 
     /// Dead pool worker threads the supervisor reaped and respawned
-    /// over this shard's lifetime (see [`CollabPool::restarts`]).
+    /// over this shard's lifetime, plus deaths injected into one-worker
+    /// jobs (see [`CollabPool::restarts`]).
     pub fn pool_restarts(&self) -> u64 {
         self.pool.restarts()
     }
 
     /// Fault injection forward to [`CollabPool::inject_worker_deaths`]:
     /// the next `n` job pickups on this shard each kill their worker
-    /// thread. Hidden; for fault tests and the robustness harness only.
+    /// thread (at one worker: each fails its job). Hidden; for fault
+    /// tests and the robustness harness only.
     #[doc(hidden)]
     pub fn inject_worker_deaths(&self, n: usize) {
         self.pool.inject_worker_deaths(n);

@@ -1,11 +1,11 @@
 //! The collaborative scheduling algorithm (Algorithm 2 of the paper).
 
 use crate::{ArenaView, CancelToken, RunReport, SchedulerConfig, TableArena, ThreadStats};
-use crossbeam::utils::Backoff;
 use evprop_potential::{raw, EntryRange, PotentialTable};
 use evprop_taskgraph::{PlanId, TaskGraph, TaskId, TaskKind};
 use evprop_trace::{PrimitiveKind, SpanKind, TraceSink};
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -88,7 +88,8 @@ pub(crate) struct JobScratch {
 
 /// Everything one scheduler **job** shares between workers. Built per
 /// propagation by [`run_collaborative`] or [`crate::CollabPool::run`];
-/// the pool hands workers a raw pointer to this for the job's duration.
+/// a pool with worker threads hands them a raw pointer to this for the
+/// job's duration, a one-worker pool runs the job on it in place.
 pub(crate) struct Shared<'g> {
     graph: &'g TaskGraph,
     /// The job's window-granting view of the arena; see the safety model
@@ -418,8 +419,9 @@ fn task_target(kind: &TaskKind) -> (u32, PrimitiveKind) {
 ///
 /// This is the *spawn-per-query* path: it builds a one-shot
 /// [`crate::CollabPool`], runs the single job, and tears the pool down —
-/// paying `cfg.num_threads` thread spawns and joins per call. Services
-/// answering many queries should hold a [`crate::CollabPool`] and call
+/// paying `cfg.num_threads` thread spawns and joins per call, none at
+/// one thread (the calling thread runs the walk). Services answering
+/// many queries should hold a [`crate::CollabPool`] and call
 /// [`crate::CollabPool::run`] directly to amortize that cost (and to
 /// observe worker panics as an `Err` instead of the re-panic here).
 pub fn run_collaborative(
@@ -448,9 +450,37 @@ pub(crate) fn worker(sh: &Shared<'_>, id: usize) -> ThreadStats {
     stats
 }
 
+/// Exponential backoff for an idle worker's spin: `2^k` spin-loop
+/// hints at step `k ≤ SPIN_LIMIT`, a `yield_now` beyond, and back to
+/// the cheapest step after useful work.
+#[derive(Default)]
+struct Backoff {
+    step: Cell<u32>,
+}
+
+impl Backoff {
+    const SPIN_LIMIT: u32 = 6;
+
+    fn snooze(&self) {
+        let step = self.step.get();
+        if step <= Self::SPIN_LIMIT {
+            for _ in 0..1u32 << step {
+                std::hint::spin_loop();
+            }
+            self.step.set(step + 1);
+        } else {
+            std::thread::yield_now();
+        }
+    }
+
+    fn reset(&self) {
+        self.step.set(0);
+    }
+}
+
 /// The per-thread loop: Fetch → (Partition) → Execute → Allocate.
 fn collaborate(sh: &Shared<'_>, id: usize, stats: &mut ThreadStats, tr: &mut WorkerTracer) {
-    let backoff = Backoff::new();
+    let backoff = Backoff::default();
     loop {
         if sh.remaining.load(Ordering::Acquire) == 0 || sh.is_aborted() || sh.is_cancelled() {
             break;
@@ -478,10 +508,11 @@ fn collaborate(sh: &Shared<'_>, id: usize, stats: &mut ThreadStats, tr: &mut Wor
 /// produced — with none of the machinery that exists to share work: no
 /// LL (lock, weight counter, idle flag), no `least_loaded`, and plain
 /// load/store on the dependency counters. That is not a lost update:
-/// under the serialized-jobs invariant this thread is the only one that
-/// touches the job's counters and ring between the pool's handoff and
-/// its completion handshake, which carry the happens-before edges to
-/// and from the submitter.
+/// the walk runs on the thread that submitted the job (a one-worker
+/// [`crate::CollabPool`] has no worker thread), and under the
+/// serialized-jobs invariant that thread is the only one touching the
+/// job's counters and ring until `run` returns — program order is the
+/// only happens-before edge the walk needs.
 ///
 /// Execution is Algorithm 2's own ([`exec_full`], [`exec_part`]). A task
 /// over δ runs its parts here in index order, partials folded by part

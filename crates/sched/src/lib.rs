@@ -28,8 +28,9 @@
 //! code (DESIGN.md §9, "P = 1").
 //!
 //! There is one executor: the resident [`CollabPool`], whose workers
-//! run the loop above job after job. [`run_collaborative`] is the same
-//! pool built, used once and dropped. The work-stealing ablation the
+//! run the loop above job after job — or, with one worker, whose
+//! caller runs the walk itself, with no thread to hand it to.
+//! [`run_collaborative`] is the same pool built, used once and dropped. The work-stealing ablation the
 //! paper's §8 gestures at lives in the simulator (`evprop-simcore`'s
 //! collaborative policy), which is where every published figure comes
 //! from.

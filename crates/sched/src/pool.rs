@@ -1,60 +1,78 @@
 //! Persistent worker pool: spawn threads once, run many jobs.
 //!
-//! [`run_collaborative`](crate::run_collaborative) spawns and joins
-//! `num_threads` OS threads for every propagation. That is fine for a
-//! one-off calibration but dominates latency when a service answers a
-//! stream of queries over one compiled junction tree. [`CollabPool`]
-//! keeps the workers alive between jobs: they park on a condvar, a job
-//! submission bumps an epoch and wakes them, and the submitter blocks
-//! until every worker has checked back in — the compile-once,
-//! serve-many half of the scheduler.
+//! [`run_collaborative`](crate::run_collaborative) builds a pool for
+//! one propagation and drops it. That is fine for a one-off calibration
+//! but dominates latency when a service answers a stream of queries
+//! over one compiled junction tree. [`CollabPool`] keeps the workers
+//! alive between jobs: they park on a condvar, a job submission bumps
+//! an epoch and wakes them, and the submitter blocks until every worker
+//! has checked back in — the compile-once, serve-many half of the
+//! scheduler.
+//!
+//! A one-worker pool has no worker thread at all. With P = 1 there is
+//! no work to share (the job is the private FIFO walk, DESIGN.md §9),
+//! so the thread that submits the job runs it: no slot, no epoch, no
+//! condvar, no context switch.
 //!
 //! # Safety model
 //!
-//! [`CollabPool::run`] borrows a [`Shared`] job descriptor on its own
-//! stack and hands workers a lifetime-erased pointer to it (a `usize`
-//! in the job slot). This is the classic scoped-thread pattern routed
-//! through a pool instead of `std::thread::scope`:
+//! Every job borrows a [`Shared`] job descriptor on the submitter's
+//! stack, built under the submission lock with the pool's
+//! [`JobScratch`].
 //!
-//! * `run` does not return until every worker has decremented the
-//!   job's `active` count under the slot mutex, so the `Shared` (and
-//!   the `&TaskGraph`/`&TableArena`/`&SchedulerConfig` inside it)
-//!   strictly outlives all worker access.
-//! * Workers read the pointer only between observing the new epoch and
-//!   decrementing `active`, both under the same mutex, so the
-//!   mutex/condvar handshake carries the happens-before edges in both
-//!   directions (job visible to workers; results visible to the
-//!   submitter).
-//! * An internal submission lock serializes concurrent `run` calls, so
-//!   at most one job's pointer is ever live in the slot.
+//! * **P = 1:** the submitter calls the worker loop body on that
+//!   borrow and nothing else ever sees it. There is no pointer to
+//!   erase; program order on one thread orders the job's construction,
+//!   its execution and the read of its results.
+//! * **P ≥ 2:** the submitter hands workers a lifetime-erased pointer
+//!   to the `Shared` (a `usize` in the job slot). This is the classic
+//!   scoped-thread pattern routed through a pool instead of
+//!   `std::thread::scope`:
+//!   * `run` does not return until every worker has decremented the
+//!     job's `active` count under the slot mutex, so the `Shared` (and
+//!     the `&TaskGraph`/`&TableArena`/`&SchedulerConfig` inside it)
+//!     strictly outlives all worker access.
+//!   * Workers read the pointer only between observing the new epoch
+//!     and decrementing `active`, both under the same mutex, so the
+//!     mutex/condvar handshake carries the happens-before edges in both
+//!     directions (job visible to workers; results visible to the
+//!     submitter).
+//!   * The submission lock serializes concurrent `run` calls, so at
+//!     most one job's pointer is ever live in the slot.
 //!
 //! # Panic containment
 //!
-//! A panic inside a worker job (a bug in a primitive, an OOM in a
+//! A panic inside a job (a bug in a primitive, an OOM in a
 //! partial-table allocation, injected poison in tests) must not hang
-//! the submitter or kill the pool: the worker loop catches the unwind,
+//! the submitter or kill the pool: the job runs inside `catch_unwind`
+//! — on the submitter at P = 1, in each worker's loop otherwise — which
 //! marks the job aborted so sibling workers stop waiting for tasks that
-//! will never complete, and checks back in; `run` then returns the
-//! panic as a [`JobPanic`] error instead of blocking forever. The pool
-//! itself stays usable — the next job starts from a fresh job
-//! descriptor — though the *arena* of the failed job is left in an
-//! unspecified intermediate state and must be re-initialized (or
-//! discarded) by the caller before reuse.
+//! will never complete; `run` then returns the panic as a [`JobPanic`]
+//! error instead of blocking forever. The pool itself stays usable —
+//! the next job starts from a fresh job descriptor — though the *arena*
+//! of the failed job is left in an unspecified intermediate state and
+//! must be re-initialized (or reset) by the caller before reuse.
 //!
 //! # Supervision
 //!
 //! `catch_unwind` cannot save a worker whose thread genuinely dies —
 //! a panic *outside* the job guard (injected by the chaos harness, or
 //! a defect in the loop itself) exits the thread without decrementing
-//! `active`, which would hang the submitter forever. The pool
-//! therefore supervises its own threads: the completion handshake
-//! waits in bounded slices and, on each timeout, reaps finished
-//! (dead) worker handles — joining them, respawning a replacement
-//! parked past the in-flight job, settling the missing `active`
-//! decrements, and failing only that job with a [`JobPanic`]. A
-//! pre-submission sweep does the same between jobs. Sibling shards
-//! (other pools) are untouched, and [`CollabPool::restarts`] counts
-//! every respawn for the serving stats.
+//! `active`, which would hang the submitter forever. A pool with
+//! worker threads therefore supervises them: the completion handshake
+//! waits in bounded slices and, on each timeout, reaps finished (dead)
+//! worker handles — joining them, respawning a replacement parked past
+//! the in-flight job, settling the missing `active` decrements, and
+//! failing only that job with a [`JobPanic`]. A pre-submission sweep
+//! does the same between jobs. Sibling shards (other pools) are
+//! untouched, and [`CollabPool::restarts`] counts every respawn for the
+//! serving stats.
+//!
+//! A one-worker pool has no thread to lose, and the submitter is never
+//! killed. An injected death (`inject_worker_deaths`, or the chaos
+//! harness's `worker_kill`) that lands on a one-worker job fails exactly
+//! that job with the reaper's message and counts one restart, so fault
+//! counters read the same at every worker count.
 
 use crate::collab::{worker, JobScratch, Shared};
 use crate::{CancelToken, RunReport, SchedulerConfig, TableArena, ThreadStats};
@@ -141,10 +159,58 @@ struct Inner {
     /// Pending injected worker deaths: each picked-up job decrements
     /// this and, when it wins a decrement, kills its thread *outside*
     /// the panic guard — exercising the reap/respawn path, not
-    /// `catch_unwind`. Test/bench fault injection; zero in production.
+    /// `catch_unwind` (at P = 1, fails the job on the submitter).
+    /// Test/bench fault injection; zero in production.
     kill: AtomicUsize,
-    /// Dead worker threads reaped and respawned over the pool's life.
+    /// Dead worker threads reaped and respawned over the pool's life
+    /// (plus deaths injected into one-worker jobs, which have no thread
+    /// to reap).
     restarts: AtomicU64,
+    /// Worker threads spawned, respawns included.
+    #[cfg(test)]
+    spawned: AtomicUsize,
+    /// `job_cv` / `done_cv` notifications: the thread hand-offs jobs
+    /// paid for.
+    #[cfg(test)]
+    notified: AtomicUsize,
+}
+
+impl Inner {
+    /// Whether the worker picking up the current job dies there: a
+    /// pending [`CollabPool::inject_worker_deaths`] or, with the
+    /// `chaos` feature, a `worker_kill` draw.
+    fn death_at_pickup(&self) -> bool {
+        let injected = self
+            .kill
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |k| k.checked_sub(1))
+            .is_ok();
+        #[cfg(feature = "chaos")]
+        let injected = injected || crate::chaos::should_kill_worker();
+        injected
+    }
+
+    fn notify(&self, cv: &Condvar) {
+        #[cfg(test)]
+        self.notified.fetch_add(1, Ordering::Relaxed);
+        cv.notify_all();
+    }
+}
+
+/// The [`JobPanic`] message of a job that lost `dead` workers.
+fn died_mid_job(dead: usize) -> String {
+    format!("{dead} worker thread(s) died mid-job (reaped and respawned)")
+}
+
+/// Starts worker `id`'s loop on a fresh thread, parked until an epoch
+/// after `start_epoch`.
+fn spawn_worker(inner: &Arc<Inner>, id: usize, start_epoch: u64) -> JoinHandle<()> {
+    #[cfg(test)]
+    inner.spawned.fetch_add(1, Ordering::Relaxed);
+    let inner = Arc::clone(inner);
+    std::thread::Builder::new()
+        .name(format!("evprop-worker-{id}"))
+        .spawn(move || worker_loop(&inner, id, start_epoch))
+        .expect("failed to spawn pool worker")
 }
 
 /// A persistent pool of collaborative-scheduler workers.
@@ -180,15 +246,19 @@ pub struct CollabPool {
     /// Sink attached to every subsequent job (worker rows + job spans
     /// on the control row).
     trace: Mutex<Option<Arc<evprop_trace::TraceSink>>>,
-    /// Worker handles, index = worker id. Behind a lock so the
-    /// supervisor can swap a dead thread's handle for its replacement.
+    /// Worker handles, index = worker id; empty for a one-worker pool,
+    /// whose jobs run on the submitter. Behind a lock so the supervisor
+    /// can swap a dead thread's handle for its replacement.
     handles: Mutex<Vec<JoinHandle<()>>>,
-    /// Cached `handles.len()` so `num_threads` stays lock-free.
+    /// The worker count of every job, so `num_threads` stays lock-free.
     threads: usize,
 }
 
 impl CollabPool {
-    /// Spawns `num_threads` (at least 1) parked workers.
+    /// A pool whose jobs run on `num_threads` (at least 1) workers.
+    /// With two or more it spawns that many parked worker threads; a
+    /// one-worker pool spawns none and runs each job on the thread that
+    /// submits it.
     pub fn new(num_threads: usize) -> Self {
         let p = num_threads.max(1);
         let inner = Arc::new(Inner {
@@ -204,16 +274,16 @@ impl CollabPool {
             done_cv: Condvar::new(),
             kill: AtomicUsize::new(0),
             restarts: AtomicU64::new(0),
+            #[cfg(test)]
+            spawned: AtomicUsize::new(0),
+            #[cfg(test)]
+            notified: AtomicUsize::new(0),
         });
-        let handles = (0..p)
-            .map(|id| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("evprop-worker-{id}"))
-                    .spawn(move || worker_loop(&inner, id, 0))
-                    .expect("failed to spawn pool worker")
-            })
-            .collect();
+        let handles = if p == 1 {
+            Vec::new()
+        } else {
+            (0..p).map(|id| spawn_worker(&inner, id, 0)).collect()
+        };
         CollabPool {
             inner,
             submit: Mutex::new(JobScratch::default()),
@@ -223,13 +293,15 @@ impl CollabPool {
         }
     }
 
-    /// Number of worker threads (every job runs on exactly this many).
+    /// Number of workers every job runs on (the submitter alone when
+    /// this is 1).
     pub fn num_threads(&self) -> usize {
         self.threads
     }
 
     /// Dead worker threads the supervisor has reaped and respawned over
-    /// the pool's lifetime.
+    /// the pool's lifetime. A one-worker pool counts each injected death
+    /// here too, though it has no thread to respawn.
     pub fn restarts(&self) -> u64 {
         self.inner.restarts.load(Ordering::Relaxed)
     }
@@ -237,8 +309,9 @@ impl CollabPool {
     /// Fault injection for tests and the robustness harness: the next
     /// `n` job pickups each kill their worker thread *outside* the
     /// job's panic guard (a genuine thread death, recovered by the
-    /// supervisor — not by `catch_unwind`). Hidden because it is not
-    /// part of the stable API.
+    /// supervisor — not by `catch_unwind`). On a one-worker pool the
+    /// death fails the job it lands on and the submitter lives on.
+    /// Hidden because it is not part of the stable API.
     #[doc(hidden)]
     pub fn inject_worker_deaths(&self, n: usize) {
         self.inner.kill.fetch_add(n, Ordering::AcqRel);
@@ -256,12 +329,7 @@ impl CollabPool {
             if !handle.is_finished() {
                 continue;
             }
-            let inner = Arc::clone(&self.inner);
-            let fresh = std::thread::Builder::new()
-                .name(format!("evprop-worker-{id}"))
-                .spawn(move || worker_loop(&inner, id, start_epoch))
-                .expect("failed to respawn pool worker");
-            let old = std::mem::replace(handle, fresh);
+            let old = std::mem::replace(handle, spawn_worker(&self.inner, id, start_epoch));
             let _ = old.join(); // finished; the Err payload is the death cause
             dead += 1;
             self.inner.restarts.fetch_add(1, Ordering::Relaxed);
@@ -282,7 +350,8 @@ impl CollabPool {
         *self.trace.lock() = sink;
     }
 
-    /// Runs one propagation job on the resident workers and blocks
+    /// Runs one propagation job on the resident workers — on the
+    /// calling thread itself when the pool has one worker — and blocks
     /// until it completes. Semantics match
     /// [`run_collaborative`](crate::run_collaborative), except the
     /// worker count is the pool's, and `report.wall` excludes thread
@@ -293,9 +362,10 @@ impl CollabPool {
     ///
     /// # Errors
     ///
-    /// [`JobPanic`] when a worker panicked mid-job. The pool remains
-    /// usable for subsequent jobs, but the arena's buffers are in an
-    /// unspecified intermediate state — re-initialize or discard it.
+    /// [`JobPanic`] when a worker panicked or died mid-job. The pool
+    /// remains usable for subsequent jobs, but the arena's buffers are
+    /// in an unspecified intermediate state — re-initialize or discard
+    /// it.
     ///
     /// # Panics
     ///
@@ -354,56 +424,21 @@ impl CollabPool {
             return Ok(report);
         }
 
-        // Pre-submission sweep: a worker that died between jobs (or
-        // whose death the last reap raced) is respawned before this job
-        // sets `active`, so the handshake never waits on a ghost.
-        {
-            let epoch = self.inner.slot.lock().epoch;
-            self.reap_dead(epoch);
-        }
-
         // SAFETY: the submission lock makes this job the arena's only
         // user until we return — no other job can derive a view or
-        // touch the buffers — and the completion handshake below joins
-        // every worker access before we drop `shared`.
+        // touch the buffers — and every worker access ends before we
+        // drop `shared`: at P = 1 it runs on this thread, otherwise the
+        // completion handshake joins it.
         let mut shared = unsafe { Shared::prepare(graph, arena, cfg, p, &mut submission) };
         shared.set_cancel(cancel.cloned());
         shared.set_trace(self.trace.lock().clone());
         let shared = shared;
 
         let wall_start = Instant::now();
-        let panicked = {
-            let mut slot = self.inner.slot.lock();
-            slot.job = Some(&shared as *const Shared<'_> as usize);
-            slot.active = p;
-            slot.panic = None;
-            slot.epoch += 1;
-            self.inner.job_cv.notify_all();
-            while slot.active > 0 {
-                if self.inner.done_cv.wait_for(&mut slot, REAP_INTERVAL) {
-                    // Timed out: any worker that died mid-job exited
-                    // without decrementing `active`. Reap and respawn
-                    // the dead (replacements park past this epoch),
-                    // settle their missing decrements, and fail the job
-                    // — its bookkeeping is unrecoverable.
-                    let dead = self.reap_dead(slot.epoch);
-                    if dead > 0 {
-                        slot.active = slot.active.saturating_sub(dead);
-                        if slot.panic.is_none() {
-                            slot.panic = Some(format!(
-                                "{dead} worker thread(s) died mid-job \
-                                 (reaped and respawned)"
-                            ));
-                        }
-                        // Live siblings stop waiting for tasks the dead
-                        // worker will never complete.
-                        shared.abort();
-                    }
-                }
-            }
-            slot.job = None;
-            report.threads.clone_from_slice(&slot.results);
-            slot.panic.take()
+        let panicked = if p == 1 {
+            self.run_on_caller(&shared, &mut report.threads[0])
+        } else {
+            self.run_on_workers(&shared, &mut report.threads)
         };
         report.wall = wall_start.elapsed();
         shared.trace_job_span(wall_start, graph.num_tasks());
@@ -427,6 +462,56 @@ impl CollabPool {
         shared.assert_drained();
         shared.finish_into(&mut report);
         Ok(report)
+    }
+
+    /// P = 1: the submitter is the worker. Returns the panic message
+    /// that failed the job, if any.
+    fn run_on_caller(&self, shared: &Shared<'_>, stats: &mut ThreadStats) -> Option<String> {
+        if self.inner.death_at_pickup() {
+            // The job's one worker "died": fail the job exactly as the
+            // reaper fails a job whose thread died, without killing the
+            // calling thread.
+            self.inner.restarts.fetch_add(1, Ordering::Relaxed);
+            return Some(died_mid_job(1));
+        }
+        run_guarded(shared, 0).map(|s| *stats = s).err()
+    }
+
+    /// P ≥ 2: publishes the job to the resident workers and supervises
+    /// them until every one checked back in. Returns the panic message
+    /// that failed the job, if any.
+    fn run_on_workers(&self, shared: &Shared<'_>, stats: &mut [ThreadStats]) -> Option<String> {
+        // Pre-submission sweep: a worker that died between jobs (or
+        // whose death the last reap raced) is respawned before this job
+        // sets `active`, so the handshake never waits on a ghost.
+        let epoch = self.inner.slot.lock().epoch;
+        self.reap_dead(epoch);
+        let mut slot = self.inner.slot.lock();
+        slot.job = Some(shared as *const Shared<'_> as usize);
+        slot.active = stats.len();
+        slot.panic = None;
+        slot.epoch += 1;
+        self.inner.notify(&self.inner.job_cv);
+        while slot.active > 0 {
+            if self.inner.done_cv.wait_for(&mut slot, REAP_INTERVAL) {
+                // Timed out: any worker that died mid-job exited without
+                // decrementing `active`. Reap and respawn the dead
+                // (replacements park past this epoch), settle their
+                // missing decrements, and fail the job — its bookkeeping
+                // is unrecoverable.
+                let dead = self.reap_dead(slot.epoch);
+                if dead > 0 {
+                    slot.active = slot.active.saturating_sub(dead);
+                    slot.panic.get_or_insert_with(|| died_mid_job(dead));
+                    // Live siblings stop waiting for tasks the dead
+                    // worker will never complete.
+                    shared.abort();
+                }
+            }
+        }
+        slot.job = None;
+        stats.clone_from_slice(&slot.results);
+        slot.panic.take()
     }
 }
 
@@ -471,20 +556,12 @@ fn worker_loop(inner: &Inner, id: usize, start_epoch: u64) {
             slot.job.expect("a fresh epoch always carries a job")
         };
 
-        // Injected worker death: panic *outside* the catch_unwind below,
-        // so the thread genuinely dies without checking back in — only
-        // the supervisor's reap path can recover. The message is never
+        // Injected worker death: panic *outside* the job guard, so the
+        // thread genuinely dies without checking back in — only the
+        // supervisor's reap path can recover. The message is never
         // observed (the reaper writes its own); dying is the point.
-        if inner
-            .kill
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |k| k.checked_sub(1))
-            .is_ok()
-        {
-            panic!("injected worker death: thread {id} killed outside the job guard");
-        }
-        #[cfg(feature = "chaos")]
-        if crate::chaos::should_kill_worker() {
-            panic!("chaos: worker {id} killed outside the job guard");
+        if inner.death_at_pickup() {
+            panic!("worker {id} killed outside the job guard (injected death)");
         }
 
         // SAFETY: `run` blocks until this worker decrements `active`
@@ -493,33 +570,36 @@ fn worker_loop(inner: &Inner, id: usize, start_epoch: u64) {
         // before our read. The erased lifetime never escapes this
         // scope.
         let sh = unsafe { &*(job as *const Shared<'_>) };
-        // Contain panics from inside the job: letting one unwind through
-        // this loop would kill the thread *without* decrementing
-        // `active`, hanging the submitter forever. Unwinding drops every
-        // live window (unregistering it from the debug overlap checker)
-        // before the catch.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker(sh, id)));
-        if result.is_err() {
-            // Sibling workers must stop waiting for tasks the panicked
-            // one will never complete.
-            sh.abort();
-        }
+        let result = run_guarded(sh, id);
 
         let mut slot = inner.slot.lock();
         match result {
             Ok(stats) => slot.results[id] = stats,
-            Err(payload) => {
+            Err(message) => {
                 slot.results[id] = ThreadStats::default();
-                if slot.panic.is_none() {
-                    slot.panic = Some(panic_message(payload.as_ref()));
-                }
+                slot.panic.get_or_insert(message);
             }
         }
         slot.active -= 1;
         if slot.active == 0 {
-            inner.done_cv.notify_all();
+            inner.notify(&inner.done_cv);
         }
     }
+}
+
+/// Worker `id`'s share of the job inside the job guard. A panic in the
+/// job must not escape it: on a resident worker it would kill the
+/// thread *without* decrementing `active`, hanging the submitter, and
+/// on the submitter it would unwind through `run`. Unwinding drops
+/// every live window (unregistering it from the debug overlap checker)
+/// before the catch; the job is then marked aborted, so sibling workers
+/// stop waiting for tasks the panicked one will never complete, and the
+/// panic message comes back as the error.
+fn run_guarded(sh: &Shared<'_>, id: usize) -> Result<ThreadStats, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker(sh, id))).map_err(|payload| {
+        sh.abort();
+        panic_message(payload.as_ref())
+    })
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -653,7 +733,8 @@ mod tests {
     /// A genuine worker-thread death (outside the job's panic guard) is
     /// the failure `catch_unwind` cannot contain: the supervisor must
     /// reap the dead thread, respawn it, fail only the in-flight job,
-    /// and leave the pool serving.
+    /// and leave the pool serving. Two workers: a one-worker pool has
+    /// no thread to reap.
     #[test]
     fn killed_worker_is_reaped_and_respawned() {
         let (g, pots) = asia_graph();
@@ -673,10 +754,96 @@ mod tests {
         let executed: usize = report.threads.iter().map(|t| t.tasks_executed).sum();
         assert!(executed >= g.num_tasks());
         assert_eq!(pool.restarts(), 1, "no spurious respawns");
+        assert_eq!(
+            pool.inner.spawned.load(Ordering::Relaxed),
+            3,
+            "2 + 1 respawn"
+        );
     }
 
-    /// Repeated deaths, including on a single-thread pool (where the
-    /// dead worker *was* the whole pool), never hang a submitter.
+    /// Counted, not timed: a one-worker pool spawns no thread and its
+    /// jobs notify no condvar — the submitter runs the walk itself. A
+    /// pool of P ≥ 2 spawns P workers and pays one wake-up each way per
+    /// job.
+    #[test]
+    fn one_worker_jobs_take_no_thread_hand_off() {
+        let (g, pots) = asia_graph();
+        for p in [1, 2, 3] {
+            let pool = CollabPool::new(p);
+            let spawned = pool.inner.spawned.load(Ordering::Relaxed);
+            assert_eq!(spawned, if p == 1 { 0 } else { p }, "P = {p}");
+            let cfg = SchedulerConfig::with_threads(p);
+            for job in 0..3 {
+                let arena = TableArena::initialize(&g, &pots, &EvidenceSet::new());
+                let before = pool.inner.notified.load(Ordering::Relaxed);
+                let report = pool.run(&g, &arena, &cfg).unwrap();
+                let handoffs = pool.inner.notified.load(Ordering::Relaxed) - before;
+                assert_eq!(handoffs, if p == 1 { 0 } else { 2 }, "P = {p}, job {job}");
+                let executed: usize = report.threads.iter().map(|t| t.tasks_executed).sum();
+                assert_eq!(executed, g.num_tasks());
+            }
+            assert_eq!(pool.inner.spawned.load(Ordering::Relaxed), spawned);
+        }
+    }
+
+    /// A panic in a one-worker job is caught on the thread that
+    /// submitted it: the job returns `JobPanic`, the caller carries on,
+    /// and the next job on the same arena, reset, leaves the very bits
+    /// a fresh `initialize` does.
+    #[test]
+    fn one_worker_panic_fails_the_job_and_the_arena_self_heals() {
+        let (g, pots) = asia_graph();
+        let none = EvidenceSet::new();
+        let pool = CollabPool::new(1);
+        let mut cfg = SchedulerConfig::with_threads(1);
+        let fresh = TableArena::initialize(&g, &pots, &none);
+        pool.run(&g, &fresh, &cfg).unwrap();
+
+        let caller = std::thread::current().id();
+        let mut arena = TableArena::initialize(&g, &pots, &none);
+        cfg.poison_task = Some(g.num_tasks() / 2);
+        let err = pool.run(&g, &arena, &cfg).expect_err("poisoned");
+        assert!(err.message().contains("injected poison"), "{err}");
+        assert_eq!(std::thread::current().id(), caller);
+        assert_eq!(pool.restarts(), 0, "a caught panic kills no thread");
+
+        cfg.poison_task = None;
+        arena.reset(&g, &pots, &none);
+        pool.run(&g, &arena, &cfg).expect("clean job succeeds");
+        let want = fresh.into_tables();
+        for (i, (a, b)) in want.iter().zip(arena.tables_mut()).enumerate() {
+            assert_eq!(a.data(), b.data(), "buffer {i}");
+        }
+    }
+
+    /// An injected death on a one-worker pool fails exactly the job it
+    /// lands on, with the reaper's message, and counts one restart —
+    /// the same books a two-worker pool keeps — while the submitter
+    /// lives on and no thread is spawned.
+    #[test]
+    fn one_worker_death_fails_one_job_and_counts_one_restart() {
+        let (g, pots) = asia_graph();
+        let pool = CollabPool::new(1);
+        let cfg = SchedulerConfig::with_threads(1);
+        pool.inject_worker_deaths(1);
+        let arena = TableArena::initialize(&g, &pots, &EvidenceSet::new());
+        let err = pool
+            .run(&g, &arena, &cfg)
+            .expect_err("the death fails the job");
+        assert_eq!(err.message(), died_mid_job(1));
+        assert_eq!(pool.restarts(), 1);
+
+        for _ in 0..2 {
+            let arena = TableArena::initialize(&g, &pots, &EvidenceSet::new());
+            pool.run(&g, &arena, &cfg).expect("only one job fails");
+        }
+        assert_eq!(pool.restarts(), 1);
+        assert_eq!(pool.inner.spawned.load(Ordering::Relaxed), 0);
+    }
+
+    /// Repeated deaths, on a single-worker pool (where the death lands
+    /// on the submitter's job) and on a supervised one, never hang a
+    /// submitter.
     #[test]
     fn pool_survives_repeated_worker_deaths() {
         let (g, pots) = asia_graph();

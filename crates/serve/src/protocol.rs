@@ -147,7 +147,9 @@
 //! All `*_us` fields are integer microseconds. The parser below is a
 //! deliberately tiny recursive-descent JSON reader — the build
 //! environment is offline, so no serde — covering exactly the grammar
-//! the protocol uses.
+//! the protocol uses. It rejects an object that repeats a member name
+//! (`duplicate key "v0"`): such a request has no single meaning.
+//! Error messages quote an offending value as JSON text.
 
 use crate::metrics::RuntimeStats;
 use crate::runtime::{QuerySummary, QueryTiming};
@@ -178,7 +180,8 @@ pub enum Json {
     Str(String),
     /// An array.
     Arr(Vec<Json>),
-    /// An object, as ordered key/value pairs (first match wins).
+    /// An object, as ordered key/value pairs. [`parse_json`] rejects
+    /// an object that repeats a key, so each key names one value.
     Obj(Vec<(String, Json)>),
 }
 
@@ -189,6 +192,50 @@ impl Json {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    fn write_into(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) if n.is_finite() => out.push_str(&n.to_string()),
+            // What `JSON.stringify` writes for a number JSON cannot carry
+            // (`1e999` parses to infinity).
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => push_quoted(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_into(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    push_quoted(out, key);
+                    out.push(':');
+                    value.write_into(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+/// Compact JSON text — how error messages quote an offending value
+/// (`5`, `["v3"]`, `-1`).
+impl std::fmt::Display for Json {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut out = String::new();
+        self.write_into(&mut out);
+        f.write_str(&out)
     }
 }
 
@@ -369,6 +416,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_object(&mut self) -> Result<Json, String> {
+        let start = self.pos;
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -388,12 +436,38 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    break;
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
         }
+        // A repeated key would mean whatever each reader makes of it:
+        // lookups answer the first, evidence loops apply every copy.
+        if let Some(key) = first_repeated_key(&fields) {
+            let mut msg = String::from("duplicate key ");
+            push_quoted(&mut msg, key);
+            self.pos = start;
+            return Err(self.err(&msg));
+        }
+        Ok(Json::Obj(fields))
     }
+}
+
+/// The first key, in document order, that repeats an earlier key of the
+/// same object. Sorts indices rather than comparing every pair, so a
+/// request line with many keys costs `n log n`, not `n²`.
+fn first_repeated_key(fields: &[(String, Json)]) -> Option<&str> {
+    if fields.len() < 2 {
+        return None;
+    }
+    let mut order: Vec<usize> = (0..fields.len()).collect();
+    order.sort_unstable_by(|&a, &b| fields[a].0.cmp(&fields[b].0).then(a.cmp(&b)));
+    order
+        .windows(2)
+        .filter(|w| fields[w[0]].0 == fields[w[1]].0)
+        .map(|w| w[1])
+        .min()
+        .map(|i| fields[i].0.as_str())
 }
 
 /// Parses one complete JSON value (trailing characters are an error).
@@ -409,6 +483,13 @@ pub fn parse_json(src: &str) -> Result<Json, String> {
         return Err(p.err("trailing characters"));
     }
     Ok(v)
+}
+
+/// Appends `s` as a JSON string literal.
+fn push_quoted(out: &mut String, s: &str) {
+    out.push('"');
+    escape_into(out, s);
+    out.push('"');
 }
 
 fn escape_into(out: &mut String, s: &str) {
@@ -437,7 +518,7 @@ fn resolve_var(names: &dyn ModelNames, v: &Json) -> Result<VarId, String> {
         Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && (*n as usize) < names.num_vars() => {
             Ok(VarId(*n as u32))
         }
-        other => Err(format!("bad variable reference: {other:?}")),
+        other => Err(format!("bad variable reference: {other}")),
     }
 }
 
@@ -451,7 +532,7 @@ fn resolve_state(names: &dyn ModelNames, var: VarId, v: &Json) -> Result<usize, 
             )
         }),
         Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && (*n as usize) < card => Ok(*n as usize),
-        other => Err(format!("bad state reference: {other:?}")),
+        other => Err(format!("bad state reference: {other}")),
     }
 }
 
@@ -558,7 +639,7 @@ fn session_id(v: &Json) -> Result<u64, String> {
         Some(Json::Num(n)) if n.fract() == 0.0 && *n >= 0.0 && *n <= (1u64 << 53) as f64 => {
             Ok(*n as u64)
         }
-        Some(other) => Err(format!("bad session id: {other:?}")),
+        Some(other) => Err(format!("bad session id: {other}")),
         None => Err("request is missing \"session\"".to_string()),
     }
 }
@@ -574,7 +655,7 @@ fn session_var(names: &dyn ModelNames, v: &Json, key: &str) -> Result<VarId, Str
 fn string_field(v: &Json, key: &str) -> Result<String, String> {
     match v.get(key) {
         Some(Json::Str(s)) => Ok(s.clone()),
-        Some(other) => Err(format!("\"{key}\" must be a string, got {other:?}")),
+        Some(other) => Err(format!("\"{key}\" must be a string, got {other}")),
         None => Err(format!("request is missing \"{key}\"")),
     }
 }
@@ -585,7 +666,7 @@ fn version_field(v: &Json) -> Result<Option<u32>, String> {
         Some(Json::Num(n)) if n.fract() == 0.0 && *n >= 1.0 && *n <= u32::MAX as f64 => {
             Ok(Some(*n as u32))
         }
-        Some(other) => Err(format!("bad model version: {other:?}")),
+        Some(other) => Err(format!("bad model version: {other}")),
     }
 }
 
@@ -601,7 +682,7 @@ pub fn request_model(v: &Json) -> Result<Option<String>, String> {
     match v.get("model") {
         None => Ok(None),
         Some(Json::Str(s)) => Ok(Some(s.clone())),
-        Some(other) => Err(format!("\"model\" must be a string, got {other:?}")),
+        Some(other) => Err(format!("\"model\" must be a string, got {other}")),
     }
 }
 
@@ -695,7 +776,7 @@ pub fn parse_request_value(v: &Json, names: &dyn ModelNames) -> Result<Request, 
             }
             Json::Str(c) if c == "drain" => Ok(Request::Drain),
             other => Err(format!(
-                "unknown command {other:?} (expected \"stats\", \"trace\", \"drain\", \
+                "unknown command {other} (expected \"stats\", \"trace\", \"drain\", \
                  \"session-open\"/\"session-set\"/\"session-retract\"/\"session-query\"/\
                  \"session-close\", or \
                  \"model-load\"/\"model-unload\"/\"model-list\"/\"model-swap\")"
@@ -720,7 +801,7 @@ fn deadline_field(v: &Json) -> Result<Option<std::time::Duration>, String> {
             Ok(Some(std::time::Duration::from_millis(*n as u64)))
         }
         Some(other) => Err(format!(
-            "bad \"deadline_ms\": {other:?} (expected a non-negative integer of milliseconds)"
+            "bad \"deadline_ms\": {other} (expected a non-negative integer of milliseconds)"
         )),
     }
 }
@@ -774,7 +855,7 @@ fn query_from_json(v: &Json, names: &dyn ModelNames) -> Result<Query, String> {
                 .iter()
                 .map(|w| match w {
                     Json::Num(x) => Ok(*x),
-                    other => Err(format!("bad likelihood weight: {other:?}")),
+                    other => Err(format!("bad likelihood weight: {other}")),
                 })
                 .collect::<Result<_, _>>()?;
             check_likelihood_weights(var_name, &ws)?;
@@ -1207,6 +1288,87 @@ mod tests {
         )
         .unwrap();
         assert!(parse_request(r#"{"target": "v1"} trailing"#, &names).is_err());
+    }
+
+    /// Every message that quotes an offending request value quotes it
+    /// as the JSON text the client sent, never as a Rust `Debug` dump.
+    #[test]
+    fn error_messages_quote_values_as_json() {
+        let names = asia_names();
+        for (line, want) in [
+            (r#"{"target":["v3"]}"#, r#"bad variable reference: ["v3"]"#),
+            (
+                r#"{"target":"v3","evidence":{"v0":true}}"#,
+                "bad state reference: true",
+            ),
+            (
+                r#"{"cmd":"session-close","session":"one"}"#,
+                r#"bad session id: "one""#,
+            ),
+            (
+                r#"{"cmd":"model-load","path":{"p":null},"name":"x"}"#,
+                r#""path" must be a string, got {"p":null}"#,
+            ),
+            (
+                r#"{"cmd":"model-swap","name":"x","version":0.5}"#,
+                "bad model version: 0.5",
+            ),
+            (r#"{"cmd":5}"#, "unknown command 5 (expected"),
+            (r#"{"cmd":"frob"}"#, r#"unknown command "frob" (expected"#),
+            (
+                r#"{"target":"v3","deadline_ms":-1}"#,
+                r#"bad "deadline_ms": -1 (expected"#,
+            ),
+            (
+                r#"{"target":"v3","likelihood":{"v0":[1,"x\"y"]}}"#,
+                r#"bad likelihood weight: "x\"y""#,
+            ),
+        ] {
+            let e = parse_request_line(line, &names).unwrap_err();
+            assert!(e.starts_with(want), "{line}: {e}");
+        }
+        let v = parse_json(r#"{"target":"v3","model":7}"#).unwrap();
+        assert_eq!(
+            request_model(&v).unwrap_err(),
+            r#""model" must be a string, got 7"#
+        );
+    }
+
+    /// The writer emits compact JSON that parses back to the same value
+    /// (`null` for the non-finite numbers JSON cannot carry).
+    #[test]
+    fn json_writer_roundtrips() {
+        let src = r#"{"a":[1,-2.5,1e-7,true,null],"b":{"c":"q\"\n\u0001"},"d":[]}"#;
+        let v = parse_json(src).unwrap();
+        assert_eq!(parse_json(&v.to_string()).unwrap(), v);
+        assert_eq!(Json::Num(-1.0).to_string(), "-1");
+        assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
+        assert_eq!(
+            Json::Arr(vec![Json::Str("v3".into())]).to_string(),
+            r#"["v3"]"#
+        );
+    }
+
+    /// An object that repeats a member name is rejected wherever it
+    /// nests, naming the first repeated key and the object's offset.
+    #[test]
+    fn repeated_keys_are_rejected() {
+        for (src, want) in [
+            (r#"{"a":1,"a":1}"#, r#"at byte 0: duplicate key "a""#),
+            (
+                r#"[{"x":{"b":1,"c":2,"b":3}}]"#,
+                r#"at byte 6: duplicate key "b""#,
+            ),
+            (
+                r#"{"z":1,"y":2,"y":3,"z":4}"#,
+                r#"at byte 0: duplicate key "y""#,
+            ),
+            (r#"{"\u0061":1,"a":2}"#, r#"duplicate key "a""#),
+        ] {
+            let e = parse_json(src).unwrap_err();
+            assert!(e.ends_with(want), "{src}: {e}");
+        }
+        parse_json(r#"{"a":{"a":1},"b":[{"a":2},{"a":3}]}"#).expect("same key in other objects");
     }
 
     #[test]

@@ -22,6 +22,9 @@
 //! Each shard runs one dispatcher thread: pop a job, opportunistically
 //! drain up to `max_batch - 1` more (micro-batching amortizes the
 //! arena checkout), answer them all on one arena, fulfill the tickets.
+//! With one thread per shard (the default) the dispatcher runs each
+//! propagation itself — the shard's pool has no worker thread — and a
+//! session query runs entirely on the thread that asked.
 
 use crate::metrics::{quantile_of, FaultStats, RuntimeStats, ShardMetrics};
 use crate::queue::{AdmissionQueue, PushError};
@@ -1559,28 +1562,36 @@ mod tests {
         );
     }
 
+    /// One worker per shard (the death lands on the dispatcher's own
+    /// job) and two (a pool thread dies and is reaped) keep the same
+    /// books: one failed query, one panic, one restart.
     #[test]
     fn worker_death_fails_one_query_and_the_shard_recovers() {
-        let rt = asia_runtime(RuntimeConfig::new(1, 1).without_partitioning());
-        rt.query(Query::new(VarId(3), EvidenceSet::new())).unwrap();
-        rt.inject_worker_deaths(0, 1);
-        let err = rt
-            .query(Query::new(VarId(3), EvidenceSet::new()))
-            .unwrap_err();
-        assert!(
-            matches!(err, ServeError::Engine(EngineError::WorkerPanicked(_))),
-            "{err}"
-        );
-        // The respawned worker answers the next query, bit-identical.
         let session = InferenceSession::from_network(&networks::asia()).unwrap();
         let want = session
             .posterior(&SequentialEngine, VarId(3), &EvidenceSet::new())
             .unwrap();
-        let got = rt.query(Query::new(VarId(3), EvidenceSet::new())).unwrap();
-        assert_eq!(got.data(), want.data());
-        let faults = rt.stats().faults.expect("panic and restart counted");
-        assert_eq!(faults.panics, 1);
-        assert_eq!(faults.restarts, 1);
+        for threads in [1, 2] {
+            let rt = asia_runtime(RuntimeConfig::new(1, threads).without_partitioning());
+            rt.query(Query::new(VarId(3), EvidenceSet::new())).unwrap();
+            rt.inject_worker_deaths(0, 1);
+            let err = rt
+                .query(Query::new(VarId(3), EvidenceSet::new()))
+                .unwrap_err();
+            assert!(
+                matches!(err, ServeError::Engine(EngineError::WorkerPanicked(_))),
+                "{threads} thread(s): {err}"
+            );
+            // The shard answers the next query, bit-identical.
+            let got = rt.query(Query::new(VarId(3), EvidenceSet::new())).unwrap();
+            assert_eq!(got.data(), want.data(), "{threads} thread(s)");
+            let faults = rt.stats().faults.expect("panic and restart counted");
+            assert_eq!(
+                (faults.panics, faults.restarts),
+                (1, 1),
+                "{threads} thread(s)"
+            );
+        }
     }
 
     #[test]

@@ -554,6 +554,34 @@ mod tests {
         server.stop();
     }
 
+    /// A request object that repeats a member name has no one meaning
+    /// (lookups read the first copy, evidence loops apply every copy):
+    /// each answers one parse-error line, and the connection carries on.
+    #[test]
+    fn repeated_keys_answer_one_error_line_each() {
+        let (mut server, addr) = boot();
+        let stream = TcpStream::connect(addr).unwrap();
+        for (request, error) in [
+            (
+                r#"{"target":"v3","likelihood":{"v0":[1,2],"v0":[2,1]}}"#,
+                r#"{"error":"JSON parse error at byte 28: duplicate key \"v0\""}"#,
+            ),
+            (
+                r#"{"target":"v3","evidence":{"v0":"s0","v0":"s1"}}"#,
+                r#"{"error":"JSON parse error at byte 26: duplicate key \"v0\""}"#,
+            ),
+            (
+                r#"{"target":"v3","evidence":{"v3":"s1"},"target":"v2"}"#,
+                r#"{"error":"JSON parse error at byte 0: duplicate key \"target\""}"#,
+            ),
+        ] {
+            assert_eq!(roundtrip(&stream, request), error, "{request}");
+        }
+        let answer = roundtrip(&stream, r#"{"target":"v3","evidence":{"v0":1}}"#);
+        assert!(answer.starts_with(r#"{"target":"v3","#), "{answer}");
+        server.stop();
+    }
+
     #[test]
     fn concurrent_connections_are_isolated() {
         let (mut server, addr) = boot();
