@@ -167,6 +167,10 @@ pub struct IncrementalSession {
     /// and plan index every time would cost `O(cliques)` allocations,
     /// dwarfing the sliced propagation itself on large trees.
     slice_scratch: Option<TaskGraph>,
+    /// The slice of the query being answered and its re-collect set as
+    /// a list, rebuilt in place per query.
+    slice_plan: SlicePlan,
+    dirty: Vec<CliqueId>,
     stats: SessionStats,
 }
 
@@ -185,6 +189,8 @@ impl IncrementalSession {
             revive_epoch: 0,
             revive_pending: false,
             slice_scratch: None,
+            slice_plan: SlicePlan::default_for(n),
+            dirty: Vec::new(),
             stats: SessionStats::default(),
         }
     }
@@ -210,6 +216,8 @@ impl IncrementalSession {
             revive_epoch: 0,
             revive_pending: false,
             slice_scratch: None,
+            slice_plan: SlicePlan::default_for(n),
+            dirty: Vec::new(),
             stats: SessionStats::default(),
         }
     }
@@ -363,26 +371,25 @@ impl IncrementalSession {
         // upward to the root. Hard evidence is absorbed into *every*
         // containing clique, so re-initializing exactly this set
         // refreshes every indicator copy.
-        let mut recollect = vec![false; n];
-        let changed = std::mem::take(&mut self.changed);
-        if !changed.is_empty() {
+        let recollect = &mut self.slice_plan.recollect;
+        recollect.fill(false);
+        if !self.changed.is_empty() {
             self.epoch += 1;
             if self.revive_pending {
                 self.revive_epoch = self.epoch;
                 self.revive_pending = false;
             }
             for c in (0..n).map(CliqueId) {
-                if changed.iter().any(|&v| shape.domain(c).contains(v)) {
-                    recollect[c.index()] = true;
-                }
+                recollect[c.index()] = self.changed.iter().any(|&v| shape.domain(c).contains(v));
             }
-            for &c in &shape.postorder() {
+            for c in shape.postorder() {
                 if recollect[c.index()] {
                     if let Some(p) = shape.parent(c) {
                         recollect[p.index()] = true;
                     }
                 }
             }
+            self.changed.clear();
         }
         let dirty_any = recollect.iter().any(|&d| d);
 
@@ -390,14 +397,15 @@ impl IncrementalSession {
             return Ok(QueryMode::Cached);
         }
 
-        // Classify the root-to-target distribute path. A child outside
-        // the recollect set has an unchanged subtree, so its cached
-        // collect message is valid (Fresh for post-collect children,
-        // division update for beliefs calibrated at an older epoch).
-        let path_cliques = shape.path_from_root(target);
-        let mut path = Vec::with_capacity(path_cliques.len().saturating_sub(1));
-        for &c in path_cliques.iter().skip(1) {
-            let update = if recollect[c.index()] {
+        // Classify the root-to-target distribute path (walked upward,
+        // then reversed). A child outside the recollect set has an
+        // unchanged subtree, so its cached collect message is valid
+        // (Fresh for post-collect children, division update for
+        // beliefs calibrated at an older epoch).
+        self.slice_plan.path.clear();
+        let mut c = target;
+        while let Some(parent) = shape.parent(c) {
+            let update = if self.slice_plan.recollect[c.index()] {
                 EdgeUpdate::Fresh
             } else {
                 match self.sync[c.index()] {
@@ -418,28 +426,30 @@ impl IncrementalSession {
                     }
                 }
             };
-            path.push((c, update));
+            self.slice_plan.path.push((c, update));
+            c = parent;
         }
+        self.slice_plan.path.reverse();
 
-        let dirty: Vec<CliqueId> = (0..n)
-            .map(CliqueId)
-            .filter(|c| recollect[c.index()])
-            .collect();
+        let recollect = &self.slice_plan.recollect;
+        self.dirty.clear();
+        self.dirty
+            .extend((0..n).map(CliqueId).filter(|c| recollect[c.index()]));
         if dirty_any {
             self.arena.as_mut().expect("checked above").reset_cliques(
                 graph,
                 jt.potentials(),
                 &self.evidence,
-                &dirty,
+                &self.dirty,
             );
         }
-        let plan = SlicePlan { recollect, path };
+        let plan = &self.slice_plan;
         let dirty_cliques = plan.dirty_cliques();
         let stale_edges = plan.stale_edges();
         let slice = self
             .slice_scratch
             .get_or_insert_with(|| graph.slice_scaffold());
-        graph.slice_into(slice, shape, &plan);
+        graph.slice_into(slice, shape, plan);
         if slice.num_tasks() > 0 {
             if let Err(e) = shard.run_job(slice, self.arena.as_ref().expect("checked above")) {
                 // The arena may hold partially-written buffers; drop it
@@ -449,14 +459,14 @@ impl IncrementalSession {
             }
         }
 
-        for &c in &dirty {
+        for &c in &self.dirty {
             self.sync[c.index()] = CliqueSync::Collected;
         }
         if dirty_any {
             // The root's post-collect value *is* its calibrated belief.
             self.sync[shape.root().index()] = CliqueSync::Calibrated { epoch: self.epoch };
         }
-        for &(c, _) in &plan.path {
+        for &(c, _) in &self.slice_plan.path {
             self.sync[c.index()] = CliqueSync::Calibrated { epoch: self.epoch };
         }
         Ok(QueryMode::Incremental {
@@ -507,7 +517,7 @@ impl IncrementalSession {
             self.arena = None;
             return Err(e);
         }
-        self.sync = vec![CliqueSync::Calibrated { epoch: self.epoch }; jt.num_cliques()];
+        self.sync.fill(CliqueSync::Calibrated { epoch: self.epoch });
         Ok(())
     }
 }

@@ -130,7 +130,7 @@ pub fn select_root(shape: &TreeShape) -> RootChoice {
     let mut v: Vec<u64> = (0..n).map(|i| clique_cost(shape, CliqueId(i))).collect();
     let mut p: Vec<Option<CliqueId>> = vec![None; n];
     let mut q: Vec<Option<CliqueId>> = vec![None; n];
-    for &c in shape.postorder().iter() {
+    for c in shape.postorder() {
         let mut best: Option<(u64, CliqueId)> = None;
         let mut second: Option<(u64, CliqueId)> = None;
         for &ch in shape.children(c) {

@@ -224,10 +224,8 @@ impl TreeShape {
 
     /// Cliques in postorder (every clique before its parent) — the
     /// collect-phase schedule.
-    pub fn postorder(&self) -> Vec<CliqueId> {
-        let mut v: Vec<CliqueId> = self.preorder.clone();
-        v.reverse();
-        v
+    pub fn postorder(&self) -> impl Iterator<Item = CliqueId> + '_ {
+        self.preorder.iter().rev().copied()
     }
 
     /// Leaf cliques under the current orientation.
@@ -385,7 +383,7 @@ mod tests {
             }
         }
         // postorder is reverse
-        let post = t.postorder();
+        let post: Vec<CliqueId> = t.postorder().collect();
         assert_eq!(post.len(), 4);
         assert_eq!(post[3], t.root());
     }

@@ -1,12 +1,13 @@
 //! Construction of the global task DAG from a tree shape (§5.2).
 
 use crate::graph::{
-    fresh_layout_id, BufferId, BufferInit, BufferSpec, DownBuffers, EdgeBuffers, Phase,
-    PropagationMode, Task, TaskGraph, TaskId, TaskKind,
+    fresh_layout_id, BufferId, BufferInit, BufferSpec, CliquePlans, DownBuffers, EdgeBuffers,
+    EdgePlans, Phase, PropagationMode, Task, TaskGraph, TaskId, TaskKind,
 };
 use crate::plan_cache::PlanCache;
+use crate::slice::Hazards;
 use evprop_jtree::{CliqueId, TreeShape};
-use evprop_potential::EntryRange;
+use evprop_potential::{Domain, EntryRange};
 use std::sync::OnceLock;
 
 /// Each junction-tree edge expands into 8 tasks: the 4-primitive chain of
@@ -54,14 +55,19 @@ impl TaskGraph {
         let mut g = TaskGraph {
             tasks: Vec::with_capacity(MESSAGE_TASKS_PER_EDGE * n.saturating_sub(1)),
             succ: Vec::new(),
+            succ_start: Vec::new(),
             pred_count: Vec::new(),
             buffers: Vec::with_capacity(n * 8),
             clique_buffers: Vec::with_capacity(n),
             edge_buffers: vec![None; n],
+            clique_plans: Vec::with_capacity(n),
             plans: PlanCache::new(),
             layout_id: fresh_layout_id(),
             resolved: OnceLock::new(),
+            hazards: Hazards::default(),
         };
+        // Every task's dependencies, flat in task order.
+        let mut preds: Vec<TaskId> = Vec::new();
 
         // clique potentials occupy buffers 0..n
         for c in (0..n).map(CliqueId) {
@@ -73,7 +79,6 @@ impl TaskGraph {
         }
 
         // per-edge scratch buffers
-        let mut edge_bufs: Vec<Option<EdgeBuffers>> = vec![None; n];
         for c in (0..n).map(CliqueId) {
             let Some(p) = shape.parent(c) else { continue };
             let sep = shape.parent_separator(c).clone();
@@ -109,40 +114,48 @@ impl TaskGraph {
                     }),
                 }),
             };
-            edge_bufs[c.index()] = Some(eb);
+            g.edge_buffers[c.index()] = Some(eb);
         }
-        g.edge_buffers = edge_bufs.clone();
+
+        // Compile-once index maps: one interned shape per clique and two
+        // per edge (3n − 2 interns), which both phases' chains — and
+        // every slice — copy by id.
+        let intern = |scan: &Domain, target: &Domain| {
+            g.plans
+                .intern(scan, target, EntryRange::full(scan.size()))
+                .expect("a separator nests in both its cliques, a clique in itself")
+        };
+        let clique_plans = (0..n)
+            .map(CliqueId)
+            .map(|c| {
+                let dom = shape.domain(c);
+                CliquePlans {
+                    own: intern(dom, dom),
+                    edge: shape.parent(c).map(|p| {
+                        let sep = shape.parent_separator(c);
+                        EdgePlans {
+                            up: intern(dom, sep),
+                            down: intern(shape.domain(p), sep),
+                        }
+                    }),
+                }
+            })
+            .collect();
+        g.clique_plans = clique_plans;
 
         // ---------------- collect phase (postorder) ----------------
         // mul_up_chain[p] = last collect Multiply writing clique p
         let mut mul_up_chain: Vec<Option<TaskId>> = vec![None; n];
-        // mul_up_all[x] = every collect Multiply into clique x (the
-        // clique-updating-graph "depends on all children" edge set)
-        let mut marg_up_of: Vec<Option<TaskId>> = vec![None; n];
+        // mul_up_of[c] = the collect Multiply of c's message into its
+        // parent (the clique-updating-graph "depends on all children"
+        // edge set)
         let mut mul_up_of: Vec<Option<TaskId>> = vec![None; n];
-        for &c in &shape.postorder() {
+        for c in shape.postorder() {
             let Some(p) = shape.parent(c) else { continue };
-            let eb = edge_bufs[c.index()].expect("non-root cliques have edge buffers");
+            let (eb, ep) = g.edge(c);
             let sep_len = g.buffers[eb.sep_up.index()].domain.size() as u64;
-            let sep_dom = shape.parent_separator(c);
             let clique_dom = shape.domain(c);
             let parent_dom = shape.domain(p);
-
-            // Compile-once index maps for this edge's collect chain.
-            // Extension and the distribute-phase marginalization of the
-            // reverse message share these interned plans.
-            let marg_plan = g
-                .plans
-                .intern(clique_dom, sep_dom, EntryRange::full(clique_dom.size()))
-                .expect("separator domain nests in clique domain");
-            let ext_plan = g
-                .plans
-                .intern(parent_dom, sep_dom, EntryRange::full(parent_dom.size()))
-                .expect("separator domain nests in parent domain");
-            let mul_plan = g
-                .plans
-                .intern(parent_dom, parent_dom, EntryRange::full(parent_dom.size()))
-                .expect("a domain nests in itself");
 
             let marg = g.push_task(
                 Task {
@@ -156,17 +169,16 @@ impl TaskGraph {
                     weight: clique_dom.size() as u64,
                     phase: Phase::Collect,
                     clique: c,
-                    plan: Some(marg_plan),
+                    plan: Some(ep.up),
                 },
                 // clique c is ready once every child's collect message
                 // has been multiplied in
                 shape
                     .children(c)
                     .iter()
-                    .map(|ch| mul_up_of[ch.index()].expect("children processed first"))
-                    .collect(),
+                    .map(|ch| mul_up_of[ch.index()].expect("children processed first")),
+                &mut preds,
             );
-            marg_up_of[c.index()] = Some(marg);
 
             let div = g.push_task(
                 Task {
@@ -180,7 +192,8 @@ impl TaskGraph {
                     clique: c,
                     plan: None,
                 },
-                vec![marg],
+                [marg],
+                &mut preds,
             );
 
             let ext = g.push_task(
@@ -192,16 +205,13 @@ impl TaskGraph {
                     weight: parent_dom.size() as u64,
                     phase: Phase::Collect,
                     clique: p,
-                    plan: Some(ext_plan),
+                    plan: Some(ep.down),
                 },
-                vec![div],
+                [div],
+                &mut preds,
             );
 
             // serialize with the previous multiply into the parent
-            let mut deps = vec![ext];
-            if let Some(prev) = mul_up_chain[p.index()] {
-                deps.push(prev);
-            }
             let mul = g.push_task(
                 Task {
                     kind: TaskKind::Multiply {
@@ -211,9 +221,10 @@ impl TaskGraph {
                     weight: parent_dom.size() as u64,
                     phase: Phase::Collect,
                     clique: p,
-                    plan: Some(mul_plan),
+                    plan: Some(g.clique_plans[p.index()].own),
                 },
-                deps,
+                [ext].into_iter().chain(mul_up_chain[p.index()]),
+                &mut preds,
             );
             mul_up_chain[p.index()] = Some(mul);
             mul_up_of[c.index()] = Some(mul);
@@ -228,38 +239,18 @@ impl TaskGraph {
         };
         for &c in distribute_cliques.iter() {
             let Some(p) = shape.parent(c) else { continue };
-            let eb = edge_bufs[c.index()].expect("non-root cliques have edge buffers");
+            let (eb, ep) = g.edge(c);
             let down = eb.down.expect("distribute graphs allocate down buffers");
             let sep_len = g.buffers[down.sep_down.index()].domain.size() as u64;
-            let sep_dom = shape.parent_separator(c);
             let clique_dom = shape.domain(c);
             let parent_dom = shape.domain(p);
-
-            // The distribute chain's index maps mirror the collect
-            // chain's, so these interns are structural cache hits
-            // except for the child-side identity multiply.
-            let marg_plan = g
-                .plans
-                .intern(parent_dom, sep_dom, EntryRange::full(parent_dom.size()))
-                .expect("separator domain nests in parent domain");
-            let ext_plan = g
-                .plans
-                .intern(clique_dom, sep_dom, EntryRange::full(clique_dom.size()))
-                .expect("separator domain nests in clique domain");
-            let mul_plan = g
-                .plans
-                .intern(clique_dom, clique_dom, EntryRange::full(clique_dom.size()))
-                .expect("a domain nests in itself");
 
             // The parent is fully updated once (a) its last collect
             // multiply finished — `mul_up_chain[p]` transitively orders
             // all of them — and (b) its own distribute multiply finished
             // (absent for the root).
-            let mut deps = vec![mul_up_chain[p.index()]
-                .expect("p has at least child c, so a collect multiply exists")];
-            if let Some(md) = mul_down_of[p.index()] {
-                deps.push(md);
-            }
+            let last_collect = mul_up_chain[p.index()]
+                .expect("p has at least child c, so a collect multiply exists");
             let marg = g.push_task(
                 Task {
                     kind: TaskKind::Marginalize {
@@ -270,9 +261,10 @@ impl TaskGraph {
                     weight: parent_dom.size() as u64,
                     phase: Phase::Distribute,
                     clique: p,
-                    plan: Some(marg_plan),
+                    plan: Some(ep.down),
                 },
-                deps,
+                [last_collect].into_iter().chain(mul_down_of[p.index()]),
+                &mut preds,
             );
 
             // ψ**_S / ψ*_S — the denominator is the collect-phase
@@ -290,7 +282,8 @@ impl TaskGraph {
                     clique: c,
                     plan: None,
                 },
-                vec![marg],
+                [marg],
+                &mut preds,
             );
 
             let ext = g.push_task(
@@ -302,9 +295,10 @@ impl TaskGraph {
                     weight: clique_dom.size() as u64,
                     phase: Phase::Distribute,
                     clique: c,
-                    plan: Some(ext_plan),
+                    plan: Some(ep.up),
                 },
-                vec![div],
+                [div],
+                &mut preds,
             );
 
             // Writes clique c; prior writers (collect multiplies into c)
@@ -320,13 +314,15 @@ impl TaskGraph {
                     weight: clique_dom.size() as u64,
                     phase: Phase::Distribute,
                     clique: c,
-                    plan: Some(mul_plan),
+                    plan: Some(g.clique_plans[c.index()].own),
                 },
-                vec![ext],
+                [ext],
+                &mut preds,
             );
             mul_down_of[c.index()] = Some(mul);
         }
 
+        g.link_successors(&preds);
         debug_assert!(g.validate().is_ok(), "builder produced an invalid graph");
         g
     }
@@ -337,15 +333,19 @@ impl TaskGraph {
         id
     }
 
-    fn push_task(&mut self, task: Task, deps: Vec<TaskId>) -> TaskId {
-        let id = TaskId(self.tasks.len());
+    /// Appends `task`, recording its dependencies `deps` in `preds`
+    /// (the input of [`TaskGraph::link_successors`]).
+    fn push_task(
+        &mut self,
+        task: Task,
+        deps: impl IntoIterator<Item = TaskId>,
+        preds: &mut Vec<TaskId>,
+    ) -> TaskId {
+        let before = preds.len();
+        preds.extend(deps);
+        self.pred_count.push((preds.len() - before) as u32);
         self.tasks.push(task);
-        self.succ.push(Vec::new());
-        self.pred_count.push(deps.len() as u32);
-        for d in deps {
-            self.succ[d.index()].push(id);
-        }
-        id
+        TaskId(self.tasks.len() - 1)
     }
 }
 

@@ -1,6 +1,7 @@
 //! The task DAG data structures.
 
 use crate::plan_cache::{PlanCache, PlanId};
+use crate::slice::Hazards;
 use evprop_jtree::CliqueId;
 use evprop_potential::plan::KernelPlan;
 use evprop_potential::{Domain, EntryRange, PrimitiveKind};
@@ -101,6 +102,30 @@ pub struct DownBuffers {
     pub ext_down: BufferId,
 }
 
+/// The interned full-range plan shapes of one clique `C` (parent `P`,
+/// parent separator `S`). Every full-range plan a built graph or a
+/// slice emits is one of these, so `build` interns each once and
+/// everything after copies ids.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CliquePlans {
+    /// (C, C): every multiplication into `C`.
+    pub(crate) own: PlanId,
+    /// The plans of the edge to `P`; `None` for the root.
+    pub(crate) edge: Option<EdgePlans>,
+}
+
+/// The two index maps of one junction-tree edge (identified by its
+/// child clique `C`, parent `P`, separator `S`).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct EdgePlans {
+    /// (C, S): the collect marginalization out of `C` and the
+    /// distribute extension into it.
+    pub(crate) up: PlanId,
+    /// (P, S): the collect extension into `P` and the distribute
+    /// marginalization out of it.
+    pub(crate) down: PlanId,
+}
+
 /// Which algebra the propagation runs in.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PropagationMode {
@@ -177,13 +202,14 @@ impl TaskKind {
         }
     }
 
-    /// The buffers this task reads (one or two).
-    pub fn reads(&self) -> Vec<BufferId> {
-        match *self {
-            TaskKind::Marginalize { src, .. } | TaskKind::Extend { src, .. } => vec![src],
-            TaskKind::Divide { num, den, .. } => vec![num, den],
-            TaskKind::Multiply { src, dst } => vec![src, dst],
-        }
+    /// The buffers this task reads (one or two), without allocating.
+    pub fn reads(&self) -> impl Iterator<Item = BufferId> {
+        let (first, second) = match *self {
+            TaskKind::Marginalize { src, .. } | TaskKind::Extend { src, .. } => (src, None),
+            TaskKind::Divide { num, den, .. } => (num, Some(den)),
+            TaskKind::Multiply { src, dst } => (src, Some(dst)),
+        };
+        std::iter::once(first).chain(second)
     }
 
     /// The node-level primitive this task performs.
@@ -251,7 +277,10 @@ impl Error for TaskGraphError {}
 #[derive(Clone, Debug)]
 pub struct TaskGraph {
     pub(crate) tasks: Vec<Task>,
-    pub(crate) succ: Vec<Vec<TaskId>>,
+    /// Successor lists, flat in task order: task `t`'s successors are
+    /// `succ[succ_start[t]..succ_start[t + 1]]`, ascending.
+    pub(crate) succ: Vec<TaskId>,
+    pub(crate) succ_start: Vec<usize>,
     pub(crate) pred_count: Vec<u32>,
     pub(crate) buffers: Vec<BufferSpec>,
     /// Buffer holding each clique's potential, indexed by clique id.
@@ -259,6 +288,8 @@ pub struct TaskGraph {
     /// Per-edge scratch buffers, indexed by child clique (`None` for the
     /// root, which has no parent edge).
     pub(crate) edge_buffers: Vec<Option<EdgeBuffers>>,
+    /// Per-clique interned plan ids, indexed by clique id.
+    pub(crate) clique_plans: Vec<CliquePlans>,
     /// Interned kernel plans compiled at build time (plus lazily
     /// interned δ-subrange plans the scheduler adds at run time).
     pub(crate) plans: PlanCache,
@@ -267,10 +298,12 @@ pub struct TaskGraph {
     /// can recognize its graph without walking the domains. Graphs with
     /// different ids may still share a layout.
     pub(crate) layout_id: u64,
-    /// Every task's full-range plan, resolved through `plans` by the
-    /// first [`TaskGraph::task_plan_ref`] and borrowed from then on.
-    /// Indexed by task id, so whatever reassigns task ids must clear it.
+    /// The tasks' full-range plans indexed by [`PlanId`], resolved
+    /// through `plans` by the first [`TaskGraph::task_plan_ref`] (a
+    /// slice scaffold copies its origin's) and borrowed from then on.
     pub(crate) resolved: OnceLock<Vec<Option<Arc<KernelPlan>>>>,
+    /// The slice builder's reusable state (empty outside scaffolds).
+    pub(crate) hazards: Hazards,
 }
 
 /// A process-wide fresh [`TaskGraph::layout_id`].
@@ -301,7 +334,7 @@ impl TaskGraph {
     /// Successor tasks of `t` (tasks with an incoming edge from `t`).
     #[inline]
     pub fn successors(&self, t: TaskId) -> &[TaskId] {
-        &self.succ[t.index()]
+        &self.succ[self.succ_start[t.index()]..self.succ_start[t.index() + 1]]
     }
 
     /// Initial dependency degree of `t` (number of incoming edges).
@@ -393,13 +426,21 @@ impl TaskGraph {
     /// call resolves (and so compiles) the full-range plan of **every**
     /// task into a table the graph keeps; later calls index it.
     pub fn task_plan_ref(&self, t: TaskId) -> Option<&KernelPlan> {
-        let resolved = self.resolved.get_or_init(|| {
-            self.tasks
-                .iter()
-                .map(|task| task.plan.map(|id| self.plans.get(id)))
-                .collect()
-        });
-        resolved[t.index()].as_deref()
+        let id = self.tasks[t.index()].plan?;
+        let plan = self.resolved_plans()[id.index()].as_deref();
+        Some(plan.expect("every task's plan is resolved"))
+    }
+
+    /// The resolved-plan table behind [`task_plan_ref`](Self::task_plan_ref):
+    /// `Some` at the id of every plan a task of this graph uses.
+    pub(crate) fn resolved_plans(&self) -> &[Option<Arc<KernelPlan>>] {
+        self.resolved.get_or_init(|| {
+            let mut table = vec![None; self.plans.len()];
+            for id in self.tasks.iter().filter_map(|task| task.plan) {
+                table[id.index()].get_or_insert_with(|| self.plans.get(id));
+            }
+            table
+        })
     }
 
     /// Identity of this graph's buffer table: equal ids imply equal
@@ -503,8 +544,10 @@ impl TaskGraph {
         assert!(copies > 0, "need at least one copy");
         let t = self.num_tasks();
         let b = self.buffers.len();
+        let e = self.succ.len();
         let mut tasks = Vec::with_capacity(t * copies);
-        let mut succ = Vec::with_capacity(t * copies);
+        let mut succ = Vec::with_capacity(e * copies);
+        let mut succ_start = Vec::with_capacity(t * copies + 1);
         let mut pred_count = Vec::with_capacity(t * copies);
         let mut buffers = Vec::with_capacity(b * copies);
         for copy in 0..copies {
@@ -535,26 +578,69 @@ impl TaskGraph {
                     ..task.clone()
                 });
             }
-            for s in &self.succ {
-                succ.push(s.iter().map(|x| TaskId(x.index() + copy * t)).collect());
-            }
+            succ.extend(self.succ.iter().map(|s| TaskId(s.index() + copy * t)));
+            succ_start.extend(self.succ_start[..t].iter().map(|&s| s + copy * e));
             pred_count.extend_from_slice(&self.pred_count);
             buffers.extend(self.buffers.iter().cloned());
         }
+        succ_start.push(copies * e);
         TaskGraph {
             tasks,
             succ,
+            succ_start,
             pred_count,
             buffers,
             clique_buffers: self.clique_buffers.clone(),
             edge_buffers: self.edge_buffers.clone(),
             // Copies share domains, so the structurally interned plans
-            // (and the plan ids stored on the copied tasks) carry over
-            // unchanged.
+            // (and the plan ids stored on the copied tasks and in the
+            // per-clique table) carry over unchanged.
+            clique_plans: self.clique_plans.clone(),
             plans: self.plans.clone(),
             layout_id: fresh_layout_id(),
             resolved: OnceLock::new(),
+            hazards: Hazards::default(),
         }
+    }
+
+    /// The scratch buffers and interned plans of the edge whose child
+    /// clique is `c`.
+    pub(crate) fn edge(&self, c: CliqueId) -> (EdgeBuffers, EdgePlans) {
+        let buffers = self.edge_buffers[c.index()].expect("non-root cliques have edge buffers");
+        let plans = self.clique_plans[c.index()]
+            .edge
+            .expect("non-root cliques have edge plans");
+        (buffers, plans)
+    }
+
+    /// Turns `preds` — every task's dependencies, flat in task order,
+    /// `pred_count[t]` of them for task `t` — into the successor lists,
+    /// reusing their storage.
+    pub(crate) fn link_successors(&mut self, preds: &[TaskId]) {
+        let n = self.tasks.len();
+        // Count each task's successors into the slot after its own.
+        self.succ_start.clear();
+        self.succ_start.resize(n + 1, 0);
+        for p in preds {
+            self.succ_start[p.index() + 1] += 1;
+        }
+        for t in 0..n {
+            self.succ_start[t + 1] += self.succ_start[t];
+        }
+        // Place the edges with `succ_start[p]` as `p`'s cursor; walking
+        // the successors in id order keeps every list ascending.
+        self.succ.clear();
+        self.succ.resize(preds.len(), TaskId(0));
+        let mut rest = preds.iter();
+        for (t, &count) in self.pred_count.iter().enumerate() {
+            for p in rest.by_ref().take(count as usize) {
+                self.succ[self.succ_start[p.index()]] = TaskId(t);
+                self.succ_start[p.index()] += 1;
+            }
+        }
+        // Each cursor now stands at the start of the next list.
+        self.succ_start.copy_within(0..n, 1);
+        self.succ_start[0] = 0;
     }
 
     /// A topological order, or `None` if cyclic.
@@ -614,9 +700,11 @@ impl TaskGraph {
     pub fn validate(&self) -> Result<(), TaskGraphError> {
         let nb = self.buffers.len();
         for (i, t) in self.tasks.iter().enumerate() {
-            let mut ids = t.kind.reads();
-            ids.push(t.kind.dst());
-            if ids.iter().any(|b| b.index() >= nb) {
+            if t.kind
+                .reads()
+                .chain([t.kind.dst()])
+                .any(|b| b.index() >= nb)
+            {
                 return Err(TaskGraphError::BadBuffer(TaskId(i)));
             }
         }

@@ -1,12 +1,13 @@
 //! Interning and lazy compilation of [`KernelPlan`]s.
 //!
-//! The task-graph builder *interns* one full-range plan shape per
-//! cross-domain task: two tasks whose (scan-domain, target-domain,
-//! entry-range) triples coincide share one entry. That sharing is
-//! substantial in practice — the collect marginalization out of a
-//! clique, the distribute extension into it and the distribute
-//! multiplication into it all use the same (clique, separator) index
-//! map, as do all replicas of a
+//! The task-graph builder *interns* the full-range plan shapes its
+//! tasks use once, into a per-clique table — (C, C), (C, S) and
+//! (parent, S) for each clique `C` with parent separator `S` — and
+//! every task, replica and incremental slice copies ids from that
+//! table. Two shapes whose (scan-domain, target-domain, entry-range)
+//! triples coincide share one entry: the collect marginalization out of
+//! a clique and the distribute extension into it use the same
+//! (clique, separator) index map, as do all replicas of a
 //! [`replicate`](crate::TaskGraph::replicate)d graph.
 //!
 //! Interning only *registers and validates* a shape — `O(width)`.
@@ -208,12 +209,14 @@ impl PlanCache {
         Ok(id)
     }
 
-    /// Clears the `(task, range)` memo. Required whenever the owning
-    /// graph's task ids are reassigned — a slice scaffold rebuilt by
-    /// [`TaskGraph`](crate::TaskGraph)`::slice_into` reuses ids for
-    /// different tasks, so a stale memo entry would resolve to a plan
-    /// for the wrong domains. Interned shapes and compiled programs
-    /// survive (they are keyed structurally, not by task).
+    /// Clears the `(task, range)` memo, keeping its capacity. Required
+    /// whenever the owning graph's task ids are reassigned — a slice
+    /// scaffold rebuilt by [`TaskGraph`](crate::TaskGraph)`::slice_into`
+    /// reuses ids for different tasks, so a stale memo entry would
+    /// resolve to a plan for the wrong domains. This is the only memo
+    /// keyed by task id: interned shapes, compiled programs and the
+    /// graph's resolved-plan table are keyed by shape or [`PlanId`] and
+    /// survive.
     pub fn reset_memo(&self) {
         self.inner.write().by_task_range.clear();
     }

@@ -22,13 +22,16 @@
 //! cliques to re-collect and which root-to-target path to distribute
 //! along — into a standalone [`TaskGraph`] over the **same buffer
 //! table** as the full graph, so it runs on the session's resident
-//! arena unchanged. Plans are re-interned through a clone of the full
-//! graph's [`PlanCache`], which makes every intern a structural cache
-//! hit: a slice never compiles a kernel.
+//! arena unchanged. Every task takes its plan id from the full graph's
+//! per-clique plan table, interned once by `build`: building a slice
+//! never touches the [`PlanCache`](crate::PlanCache)'s shapes and never
+//! compiles a kernel. A session rebuilds one scaffold per query
+//! ([`TaskGraph::slice_into`]), and once its storage has grown to the
+//! largest slice it has seen, a rebuild allocates nothing.
 
 use crate::graph::{BufferId, Phase, Task, TaskGraph, TaskId, TaskKind};
 use evprop_jtree::{CliqueId, TreeShape};
-use evprop_potential::EntryRange;
+use std::sync::OnceLock;
 
 /// How one edge on the distribute path is brought up to date (the edge
 /// is identified by its child clique).
@@ -86,73 +89,97 @@ impl SlicePlan {
 /// the serialization of same-buffer writers — the slice builder emits
 /// multiplies in the full graph's children order, which keeps slice
 /// arithmetic bit-identical to full propagation on unpartitioned runs.
-struct Hazards {
+///
+/// A slice scaffold keeps its tracker across rebuilds: the per-buffer
+/// tables are sized once, and a rebuild resets only the buffers the
+/// previous one touched.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Hazards {
+    /// Per buffer: the last task that wrote it.
     last_write: Vec<Option<TaskId>>,
-    reads_since: Vec<Vec<TaskId>>,
+    /// Per buffer: its newest reader since that write, as an index into
+    /// `reads`.
+    last_read: Vec<Option<u32>>,
+    /// Reader chains: a reader and the index of the same buffer's
+    /// previous reader.
+    reads: Vec<(TaskId, Option<u32>)>,
+    /// Buffers with an entry in `last_write` or `last_read`.
+    touched: Vec<BufferId>,
+    /// Every emitted task's dependencies, flat in task order.
+    preds: Vec<TaskId>,
 }
 
 impl Hazards {
-    fn new(buffers: usize) -> Self {
-        Hazards {
-            last_write: vec![None; buffers],
-            reads_since: vec![Vec::new(); buffers],
+    /// Forgets the previous rebuild of a graph with `buffers` buffers.
+    fn restart(&mut self, buffers: usize) {
+        if self.last_write.len() != buffers {
+            *self = Hazards {
+                last_write: vec![None; buffers],
+                last_read: vec![None; buffers],
+                ..Hazards::default()
+            };
+        }
+        for b in self.touched.drain(..) {
+            self.last_write[b.index()] = None;
+            self.last_read[b.index()] = None;
+        }
+        self.reads.clear();
+        self.preds.clear();
+    }
+
+    fn touch(&mut self, b: BufferId) {
+        if self.last_write[b.index()].is_none() && self.last_read[b.index()].is_none() {
+            self.touched.push(b);
         }
     }
 
     fn emit(&mut self, g: &mut TaskGraph, task: Task) -> TaskId {
-        let reads = task.kind.reads();
-        let dst = task.kind.dst();
-        let mut deps: Vec<TaskId> = Vec::new();
-        let add = |t: TaskId, deps: &mut Vec<TaskId>| {
-            if !deps.contains(&t) {
-                deps.push(t);
+        let id = TaskId(g.tasks.len());
+        let kind = task.kind;
+        let dst = kind.dst();
+        let start = self.preds.len();
+        let preds = &mut self.preds;
+        let mut add = |t: TaskId| {
+            if !preds[start..].contains(&t) {
+                preds.push(t);
             }
         };
-        for r in &reads {
+        for r in kind.reads().chain([dst]) {
             if let Some(w) = self.last_write[r.index()] {
-                add(w, &mut deps);
+                add(w);
             }
         }
-        if let Some(w) = self.last_write[dst.index()] {
-            add(w, &mut deps);
+        let mut reader = self.last_read[dst.index()];
+        while let Some(i) = reader {
+            let (r, previous) = self.reads[i as usize];
+            add(r);
+            reader = previous;
         }
-        for &r in &self.reads_since[dst.index()] {
-            add(r, &mut deps);
+        g.tasks.push(task);
+        g.pred_count.push((self.preds.len() - start) as u32);
+        for r in kind.reads().filter(|&r| r != dst) {
+            self.touch(r);
+            self.reads.push((id, self.last_read[r.index()]));
+            let newest = u32::try_from(self.reads.len() - 1).expect("read count fits u32");
+            self.last_read[r.index()] = Some(newest);
         }
-        let id = g.push_task_pub(task, deps);
-        for r in reads {
-            if r != dst {
-                self.reads_since[r.index()].push(id);
-            }
-        }
+        self.touch(dst);
         self.last_write[dst.index()] = Some(id);
-        self.reads_since[dst.index()].clear();
+        self.last_read[dst.index()] = None;
         id
     }
 }
 
 impl TaskGraph {
-    pub(crate) fn push_task_pub(&mut self, task: Task, deps: Vec<TaskId>) -> TaskId {
-        let id = TaskId(self.tasks.len());
-        self.tasks.push(task);
-        self.succ.push(Vec::new());
-        self.pred_count.push(deps.len() as u32);
-        for d in deps {
-            self.succ[d.index()].push(id);
-        }
-        id
-    }
-
     /// Builds the dirty-slice graph for `plan` over this full two-phase
     /// graph. The result shares this graph's buffer table (same ids,
     /// same count), so it executes on an arena initialized for the full
-    /// graph; its kernel plans are structural cache hits against this
-    /// graph's interned plans.
+    /// graph; its tasks carry this graph's interned plan ids.
     ///
     /// The collect part walks `plan.recollect` in postorder: for each
     /// flagged clique, dirty children's messages are recomputed
-    /// (marginalize → extend, the divide skipped because `sep_old` is
-    /// all-ones) and every child's `ext_up` — cached or fresh — is
+    /// (marginalize → extend, without the divide — see the comment at
+    /// that step) and every child's `ext_up` — cached or fresh — is
     /// multiplied back in, in children order. The distribute part walks
     /// `plan.path` from the root outward, emitting the standard chain
     /// for [`EdgeUpdate::Fresh`] edges and the division-against-stored-
@@ -170,58 +197,64 @@ impl TaskGraph {
         g
     }
 
-    /// An empty slice graph sharing this graph's buffer table and a
-    /// clone of its interned plans — the reusable scaffold for
-    /// [`TaskGraph::slice_into`]. Cloning the buffer specs and the
-    /// plan index is the expensive part of slice construction
-    /// (`O(buffers)` domain clones plus a hashmap rebuild); a session
-    /// answering many incremental queries builds one scaffold and
-    /// refills its task list per query instead of paying that cost
-    /// every time.
+    /// An empty slice graph sharing this graph's buffer table, plan
+    /// table, a clone of its interned plans and its resolved plans — the
+    /// reusable scaffold for [`TaskGraph::slice_into`]. Cloning the
+    /// buffer specs and the plan index is the expensive part of slice
+    /// construction (`O(buffers)` domain clones plus a hashmap
+    /// rebuild); a session answering many incremental queries builds
+    /// one scaffold and refills its task list per query instead of
+    /// paying that cost every time.
     pub fn slice_scaffold(&self) -> TaskGraph {
         TaskGraph {
             tasks: Vec::new(),
             succ: Vec::new(),
+            succ_start: vec![0],
             pred_count: Vec::new(),
             buffers: self.buffers.clone(),
             clique_buffers: self.clique_buffers.clone(),
             edge_buffers: self.edge_buffers.clone(),
+            clique_plans: self.clique_plans.clone(),
             plans: self.plans.clone(),
             layout_id: self.layout_id,
-            resolved: std::sync::OnceLock::new(),
+            // A slice only uses plans the full graph's tasks use, so its
+            // origin's table serves every rebuild.
+            resolved: OnceLock::from(self.resolved_plans().to_vec()),
+            hazards: Hazards::default(),
         }
     }
 
     /// Rebuilds the dirty-slice task list for `plan` **into**
     /// `scratch`, a scaffold previously obtained from
     /// [`TaskGraph::slice_scaffold`] on this same graph. The scratch
-    /// graph's tasks, dependency edges, per-task plan memo and resolved
-    /// plan table are cleared (task ids are reassigned on every
-    /// rebuild); its buffer table and interned plan shapes — the
-    /// expensive parts — are kept.
+    /// graph's tasks, dependency edges and per-task δ-subrange plan
+    /// memo are replaced (task ids are reassigned on every rebuild);
+    /// its buffer table, interned and resolved plans and the storage of
+    /// the previous rebuild are kept. Work is `O(slice)`, with no plan
+    /// interning and — once the scaffold's storage has grown to the
+    /// largest slice it has built — no heap allocation.
     ///
     /// # Panics
     ///
     /// Panics on the conditions of [`TaskGraph::incremental_slice`],
-    /// or if `scratch`'s buffer table does not match this graph's.
+    /// or if `scratch` was not scaffolded from this graph (or a clone
+    /// of it).
     pub fn slice_into(&self, scratch: &mut TaskGraph, shape: &TreeShape, plan: &SlicePlan) {
         let n = shape.num_cliques();
         assert_eq!(plan.recollect.len(), n, "one recollect flag per clique");
         assert_eq!(
-            scratch.buffers.len(),
-            self.buffers.len(),
+            scratch.layout_id, self.layout_id,
             "scratch graph was not scaffolded from this graph"
         );
         scratch.tasks.clear();
-        scratch.succ.clear();
         scratch.pred_count.clear();
         scratch.plans.reset_memo();
-        scratch.resolved.take();
+        let mut hz = std::mem::take(&mut scratch.hazards);
+        hz.restart(scratch.buffers.len());
         let g = scratch;
-        let mut hz = Hazards::new(g.buffers.len());
 
         // ---------------- collect along dirty paths ----------------
-        for &c in &shape.postorder() {
+        for c in shape.postorder() {
             if !plan.recollect[c.index()] {
                 continue;
             }
@@ -231,21 +264,17 @@ impl TaskGraph {
                     "recollect set must be upward-closed ({c:?} flagged, parent {p:?} not)"
                 );
             }
+            let parent_len = shape.domain(c).size() as u64;
             for &ch in shape.children(c) {
-                let eb = self.edge_buffers[ch.index()].expect("non-root cliques have edge buffers");
-                let sep_dom = shape.parent_separator(ch);
-                let clique_dom = shape.domain(ch);
-                let parent_dom = shape.domain(c);
+                let (eb, ep) = self.edge(ch);
                 if plan.recollect[ch.index()] {
-                    // Dirty child: recompute its message. The divide
-                    // against sep_old is skipped — sep_old is all-ones
-                    // in the resident arena, so ratio_up ≡ sep_up and
-                    // extending sep_up directly produces the exact
-                    // full-graph ext_up value.
-                    let marg_plan = g
-                        .plans
-                        .intern(clique_dom, sep_dom, EntryRange::full(clique_dom.size()))
-                        .expect("separator domain nests in clique domain");
+                    // Dirty child: recompute its message. The full graph
+                    // divides sep_up by sep_old, which holds ones there,
+                    // so its ratio is sep_up itself. In a resident arena
+                    // sep_old may instead hold the μ_new a Stale edge
+                    // stashed in it (below), so this path skips the
+                    // divide and never reads sep_old: extending sep_up
+                    // directly yields the full graph's ext_up.
                     hz.emit(
                         g,
                         Task {
@@ -254,16 +283,12 @@ impl TaskGraph {
                                 dst: eb.sep_up,
                                 max: false,
                             },
-                            weight: clique_dom.size() as u64,
+                            weight: shape.domain(ch).size() as u64,
                             phase: Phase::Collect,
                             clique: ch,
-                            plan: Some(marg_plan),
+                            plan: Some(ep.up),
                         },
                     );
-                    let ext_plan = g
-                        .plans
-                        .intern(parent_dom, sep_dom, EntryRange::full(parent_dom.size()))
-                        .expect("separator domain nests in parent domain");
                     hz.emit(
                         g,
                         Task {
@@ -271,20 +296,16 @@ impl TaskGraph {
                                 src: eb.sep_up,
                                 dst: eb.ext_up,
                             },
-                            weight: parent_dom.size() as u64,
+                            weight: parent_len,
                             phase: Phase::Collect,
                             clique: c,
-                            plan: Some(ext_plan),
+                            plan: Some(ep.down),
                         },
                     );
                 }
                 // Every child's message — cached or fresh — multiplies
                 // back into the re-initialized parent, in children
                 // order (matching the full graph's serialization).
-                let mul_plan = g
-                    .plans
-                    .intern(parent_dom, parent_dom, EntryRange::full(parent_dom.size()))
-                    .expect("a domain nests in itself");
                 hz.emit(
                     g,
                     Task {
@@ -292,10 +313,10 @@ impl TaskGraph {
                             src: eb.ext_up,
                             dst: self.clique_buffers[c.index()],
                         },
-                        weight: parent_dom.size() as u64,
+                        weight: parent_len,
                         phase: Phase::Collect,
                         clique: c,
-                        plan: Some(mul_plan),
+                        plan: Some(self.clique_plans[c.index()].own),
                     },
                 );
             }
@@ -307,34 +328,20 @@ impl TaskGraph {
                 continue;
             }
             let p = shape.parent(ch).expect("path edges name non-root children");
-            let eb = self.edge_buffers[ch.index()].expect("non-root cliques have edge buffers");
+            let (eb, ep) = self.edge(ch);
             let down = eb.down.expect("incremental slices need distribute buffers");
-            let sep_dom = shape.parent_separator(ch);
-            let clique_dom = shape.domain(ch);
-            let parent_dom = shape.domain(p);
-            let sep_len = g.buffers[down.sep_down.index()].domain.size() as u64;
-            let marg_plan = g
-                .plans
-                .intern(parent_dom, sep_dom, EntryRange::full(parent_dom.size()))
-                .expect("separator domain nests in parent domain");
-            let ext_plan = g
-                .plans
-                .intern(clique_dom, sep_dom, EntryRange::full(clique_dom.size()))
-                .expect("separator domain nests in clique domain");
-            let mul_plan = g
-                .plans
-                .intern(clique_dom, clique_dom, EntryRange::full(clique_dom.size()))
-                .expect("a domain nests in itself");
+            let clique_len = shape.domain(ch).size() as u64;
+            let sep_len = shape.parent_separator(ch).size() as u64;
             let marg = |dst: BufferId| Task {
                 kind: TaskKind::Marginalize {
                     src: self.clique_buffers[p.index()],
                     dst,
                     max: false,
                 },
-                weight: parent_dom.size() as u64,
+                weight: shape.domain(p).size() as u64,
                 phase: Phase::Distribute,
                 clique: p,
-                plan: Some(marg_plan),
+                plan: Some(ep.down),
             };
             let div = |num: BufferId, den: BufferId| Task {
                 kind: TaskKind::Divide {
@@ -375,10 +382,10 @@ impl TaskGraph {
                         src: down.ratio_down,
                         dst: down.ext_down,
                     },
-                    weight: clique_dom.size() as u64,
+                    weight: clique_len,
                     phase: Phase::Distribute,
                     clique: ch,
-                    plan: Some(ext_plan),
+                    plan: Some(ep.up),
                 },
             );
             hz.emit(
@@ -388,14 +395,16 @@ impl TaskGraph {
                         src: down.ext_down,
                         dst: self.clique_buffers[ch.index()],
                     },
-                    weight: clique_dom.size() as u64,
+                    weight: clique_len,
                     phase: Phase::Distribute,
                     clique: ch,
-                    plan: Some(mul_plan),
+                    plan: Some(self.clique_plans[ch.index()].own),
                 },
             );
         }
 
+        g.link_successors(&hz.preds);
+        g.hazards = hz;
         debug_assert!(g.validate().is_ok(), "slice builder produced invalid graph");
     }
 }
@@ -517,6 +526,25 @@ mod tests {
                 assert_eq!(scratch.task_plan_ref(t), scratch.task_plan(t).as_deref());
             }
         }
+    }
+
+    /// A scaffold of a different tree with the same buffer count would
+    /// run this graph's plan ids against its own buffer table.
+    #[test]
+    #[should_panic(expected = "scaffolded")]
+    fn scaffold_of_another_tree_is_refused() {
+        let shape = path4();
+        let star = TreeShape::new(
+            vec![dom(&[0, 1, 2]), dom(&[0]), dom(&[1]), dom(&[2])],
+            &[(0, 1), (0, 2), (0, 3)],
+            0,
+        )
+        .unwrap();
+        let full = TaskGraph::from_shape(&shape);
+        let other = TaskGraph::from_shape(&star);
+        assert_eq!(other.buffers().len(), full.buffers().len());
+        let mut scratch = other.slice_scaffold();
+        full.slice_into(&mut scratch, &shape, &SlicePlan::default_for(4));
     }
 
     #[test]
