@@ -23,6 +23,7 @@ use evprop_core::{
 };
 use evprop_jtree::{critical_path_weight, select_root};
 use evprop_potential::EvidenceSet;
+use evprop_serve::Json;
 use evprop_simcore::{render_gantt, simulate, simulate_collaborative_traced, CostModel, Policy};
 use evprop_taskgraph::TaskGraph;
 use evprop_workloads::{random_tree, TreeParams};
@@ -110,13 +111,12 @@ fn parse_evidence(bif: &BifNetwork, args: &[String]) -> Result<EvidenceSet, Stri
             let (var, state) = spec
                 .split_once('=')
                 .ok_or_else(|| format!("bad evidence '{spec}', expected VAR=STATE"))?;
-            let v = bif
-                .var_id(var)
-                .ok_or_else(|| format!("unknown variable '{var}'"))?;
-            let s = bif
-                .state_index(var, state)
-                .or_else(|| state.parse::<usize>().ok())
-                .ok_or_else(|| format!("unknown state '{state}' of '{var}'"))?;
+            // A state name, else an index: the wire's two forms.
+            let state = match state.parse::<f64>() {
+                Ok(n) if bif.state_index(var, state).is_none() => Json::Num(n),
+                _ => Json::Str(state.to_string()),
+            };
+            let (v, s) = evprop_serve::resolve_finding(bif, var, &state)?;
             ev.observe(v, s);
             i += 2;
         } else if args[i] == "--likelihood" {
@@ -126,15 +126,12 @@ fn parse_evidence(bif: &BifNetwork, args: &[String]) -> Result<EvidenceSet, Stri
             let (var, weights) = spec
                 .split_once('=')
                 .ok_or_else(|| format!("bad likelihood '{spec}', expected VAR=w:w"))?;
-            let v = bif
-                .var_id(var)
-                .ok_or_else(|| format!("unknown variable '{var}'"))?;
             let ws: Vec<f64> = weights
                 .split(':')
                 .map(|w| w.parse::<f64>())
                 .collect::<std::result::Result<_, _>>()
                 .map_err(|_| format!("bad weights in '{spec}'"))?;
-            evprop_serve::check_likelihood_weights(var, &ws)?;
+            let v = evprop_serve::resolve_likelihood(bif, var, &ws)?;
             ev.observe_likelihood(v, ws);
             i += 2;
         } else {
@@ -952,6 +949,36 @@ mod tests {
         ]);
         let e = cmd_query(&args).unwrap_err();
         assert!(e.contains("probability zero"), "{e}");
+    }
+
+    /// Findings the wire rejects used to panic inside the engines (exit
+    /// 101): an out-of-range state index, a wrong weight count.
+    #[test]
+    fn out_of_range_evidence_is_an_error() {
+        let f = asia_file();
+        for cmd in [cmd_query, cmd_mpe] {
+            for (engine, flag, spec, want) in [
+                ("collab", "--evidence", "v7=9", "bad state reference: 9"),
+                ("seq", "--evidence", "v7=-1", "bad state reference: -1"),
+                ("collab", "--evidence", "v7=s9", "unknown state 's9'"),
+                (
+                    "collab",
+                    "--likelihood",
+                    "v6=1:1:1",
+                    "likelihood of 'v6' needs 2 weights, got 3",
+                ),
+                (
+                    "seq",
+                    "--likelihood",
+                    "v6=1",
+                    "likelihood of 'v6' needs 2 weights, got 1",
+                ),
+            ] {
+                let args = s(&[&f, "--target", "v3", "--engine", engine, flag, spec]);
+                let e = cmd(&args).unwrap_err();
+                assert!(e.starts_with(want), "{spec}: {e}");
+            }
+        }
     }
 
     #[test]

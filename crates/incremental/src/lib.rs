@@ -16,7 +16,9 @@
 //!
 //! * **collect** re-runs along the paths from changed-evidence cliques
 //!   up to the root, re-multiplying unchanged subtrees' messages from
-//!   their cached `ext_up` buffers;
+//!   their cached separators (`sep_up`) — a collect message is the
+//!   child's separator marginal, multiplied into the parent through the
+//!   edge's index map;
 //! * **distribute** runs only along the root-to-target path, using the
 //!   Hugin division update against the stored distribute separators
 //!   (`ψ**_S`) to refresh cliques calibrated under older evidence in

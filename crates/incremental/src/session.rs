@@ -15,7 +15,8 @@ use std::sync::Arc;
 enum CliqueSync {
     /// The clique buffer holds a valid *post-collect* value for the
     /// current evidence (potential × current evidence × children's
-    /// messages), and its `sep_up`/`ext_up` buffers match it.
+    /// messages), and its `sep_up` buffer (its collect message) matches
+    /// it.
     Collected,
     /// The clique buffer holds a calibrated belief for the evidence as
     /// of `epoch`. Current iff `epoch` equals the session's epoch.

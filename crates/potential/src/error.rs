@@ -54,6 +54,12 @@ pub enum PotentialError {
         /// Table length.
         len: usize,
     },
+    /// A kernel plan stores its target indices as `u32`, so its target
+    /// table must have fewer than `u32::MAX` entries.
+    PlanTargetTooLarge {
+        /// Entries of the target table.
+        len: usize,
+    },
 }
 
 impl fmt::Display for PotentialError {
@@ -98,6 +104,11 @@ impl fmt::Display for PotentialError {
                     "entry range {start}..{end} invalid for table of length {len}"
                 )
             }
+            PotentialError::PlanTargetTooLarge { len } => write!(
+                f,
+                "a kernel plan addresses fewer than {} target entries, not {len}",
+                u32::MAX
+            ),
         }
     }
 }
@@ -134,6 +145,7 @@ mod tests {
                 end: 1,
                 len: 8,
             },
+            PotentialError::PlanTargetTooLarge { len: 1 << 33 },
         ];
         for e in samples {
             assert!(!format!("{e}").is_empty());

@@ -26,36 +26,41 @@
 //! * entirely **absent** from the target — then the target index is
 //!   *constant* across the whole block ([`PlanKind::Broadcast`]).
 //!
-//! Either way the scan side decomposes into fixed-size blocks, and a
-//! plan is just the flattened run-length list of `(target_base, len)`
-//! segments covering its entry range, with partial head/tail segments
-//! where the range cuts a block. The interpreter's inner loop is
-//! `for i in 0..len { dst[d + i] op= src[s + i] }` (or a `fill`/
-//! reduction for broadcast blocks) — no per-entry odometer, and a shape
-//! the compiler autovectorizes.
+//! Either way the scan side decomposes into uniform blocks of one
+//! length, so a plan stores that length once and **one target base per
+//! whole block** (`bases`, as `u32`), plus a partial `head` block where
+//! the range starts mid-block and a partial `tail` where it ends
+//! mid-block. The interpreter runs the head, then the whole blocks —
+//! `for i in 0..block { dst[base + i] op= src[pos + i] }`, or a
+//! `fill`/reduction for broadcast blocks — then the tail. Block lengths
+//! 1, 2, 4, 8 and 16 run as compile-time constants, so a short block is
+//! straight-line code rather than a loop with a prologue; every other
+//! length runs the same body with a runtime length.
 //!
 //! # One block walk, collected or streamed
 //!
-//! The segment list comes from one generator, `BlockWalk`: it seeks
-//! once to `range.start` and then carries an odometer over the axes
-//! *outside* the uniform suffix one step per block, allocating nothing.
+//! The head/bases/tail stream comes from one generator, `BlockWalk`: it
+//! seeks once per cut (the range start, the first whole block, the
+//! tail) and then carries an odometer over the axes *outside* the
+//! uniform suffix one step per block, allocating nothing.
 //! [`KernelPlan::compile`] collects the walk into a plan the scheduler
 //! caches and re-runs; the unplanned entry points of
 //! [`raw`](crate::raw) (`marginalize_range_into_raw`, …) feed the same
-//! walk straight into the same slice loops, so a one-off call costs
+//! walk straight into the same block loops, so a one-off call costs
 //! neither a plan nor a per-block allocation.
 //!
 //! # Determinism
 //!
 //! Plan interpretation performs bit-for-bit the same floating-point
-//! operations in the same order as the walker kernels: both execute
-//! the same slice loops, and every broadcast reduction follows the
-//! **canonical reduction-tree order** defined by
+//! operations in the same order as the walker kernels: the elementwise
+//! arms do one IEEE operation per entry, however the entries are
+//! grouped, and every broadcast block — whole, head or tail — reduces
+//! through the **canonical reduction-tree order** defined by
 //! [`raw::sum_canonical`](crate::raw::sum_canonical) /
 //! [`raw::fold_max_canonical`](crate::raw::fold_max_canonical) — a
 //! fixed 4-lane tree plus sequential tail. The block sum is
 //! accumulated from `0.0` and then added onto the destination slot, so
-//! results are a function of the plan's segment geometry (hence of δ)
+//! results are a function of the plan's block geometry (hence of δ)
 //! but of *nothing else*: not the thread count, not the schedule. The
 //! property tests in `tests/prop_plans.rs` and the unit suite below
 //! assert bitwise equality against the walker path.
@@ -74,15 +79,28 @@ pub enum PlanKind {
     Broadcast,
 }
 
-/// One run-length segment of a plan: `len` consecutive scan entries
-/// whose target indices start at `target_base` (and either advance by
-/// one per entry or stay fixed, per [`PlanKind`]).
+/// A block cut by the range: `len` consecutive scan entries (fewer than
+/// a whole block) whose target indices start at `base` (and either
+/// advance by one per entry or stay fixed, per [`PlanKind`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Segment {
-    /// Target index of the segment's first scan entry.
-    pub target_base: usize,
-    /// Number of scan entries the segment covers.
+pub struct PartialBlock {
+    /// Target index of the first scan entry.
+    pub base: usize,
+    /// Number of scan entries.
     pub len: usize,
+}
+
+/// The block stream every kernel consumes, collected
+/// ([`KernelPlan::blocks`]) or streamed ([`BlockWalk::new`]): a partial
+/// head block, one target base per whole block of `block` entries, a
+/// partial tail block — in scan order, covering the range exactly.
+#[derive(Debug)]
+pub(crate) struct Blocks<I> {
+    pub(crate) kind: PlanKind,
+    pub(crate) block: usize,
+    pub(crate) head: Option<PartialBlock>,
+    pub(crate) bases: I,
+    pub(crate) tail: Option<PartialBlock>,
 }
 
 /// A compiled index-map program for one (scan-domain, target-domain,
@@ -93,7 +111,10 @@ pub struct KernelPlan {
     range: EntryRange,
     scan_len: usize,
     target_len: usize,
-    segs: Vec<Segment>,
+    block: usize,
+    head: Option<PartialBlock>,
+    bases: Vec<u32>,
+    tail: Option<PartialBlock>,
 }
 
 /// Computes the canonical block decomposition of `scan` relative to
@@ -140,26 +161,21 @@ struct Digit {
     count: usize,
 }
 
-/// The canonical block decomposition of one (scan, target, range)
-/// triple as an allocation-free generator of [`Segment`]s — exactly
-/// the list [`KernelPlan::compile`] stores, in order, contiguous runs
-/// fused across block boundaries.
+/// The whole-block bases of one (scan, target, range) triple as an
+/// allocation-free iterator — exactly the `bases` list
+/// [`KernelPlan::compile`] stores, in order. [`BlockWalk::new`] wraps it
+/// with the head and tail blocks.
 ///
 /// The walk splits the scan axes into the uniform suffix (one block,
-/// see [`uniform_suffix_block`]) and the axes before it. It seeks once,
-/// writing the odometer over the moving (two or more states) prefix
-/// axes in place, and then carries that odometer one step per block.
+/// see [`uniform_suffix_block`]) and the axes before it. It seeks the
+/// head, the first whole block and the tail once each, writing the
+/// odometer over the moving (two or more states) prefix axes in place,
+/// and then carries that odometer one step per whole block.
 #[derive(Debug)]
 pub(crate) struct BlockWalk {
-    kind: PlanKind,
-    block: usize,
-    /// Next scan entry to emit, and the range end.
-    pos: usize,
-    end: usize,
-    /// Offset of `pos` into its block: non-zero only before the first
-    /// block boundary of a range that starts mid-block.
-    lead: usize,
-    /// Target index of the current block's first entry.
+    /// Whole blocks left to yield.
+    left: usize,
+    /// Target index of the next whole block's first entry.
     base: usize,
     /// Moving prefix axes, innermost first.
     digits: [Digit; MAX_MOVING_AXES],
@@ -167,14 +183,14 @@ pub(crate) struct BlockWalk {
 }
 
 impl BlockWalk {
-    /// Positions the walk at `range.start` of a table over `scan`
-    /// projected onto `target`.
+    /// The block stream of `range` of a table over `scan` projected
+    /// onto `target`.
     ///
     /// # Errors
     ///
     /// [`PotentialError::NotSubdomain`] if `target` ⊄ `scan`;
     /// [`PotentialError::BadRange`] if `range` exceeds `scan.size()`.
-    pub(crate) fn new(scan: &Domain, target: &Domain, range: EntryRange) -> Result<Self> {
+    pub(crate) fn new(scan: &Domain, target: &Domain, range: EntryRange) -> Result<Blocks<Self>> {
         for v in target.vars() {
             if !scan.contains(v.id()) {
                 return Err(PotentialError::NotSubdomain { missing: v.id() });
@@ -190,29 +206,15 @@ impl BlockWalk {
         let vars = scan.vars();
         let width = vars.len();
         let last_present = width > 0 && target.contains(vars[width - 1].id());
-        let mut walk = BlockWalk {
-            kind: if width == 0 || last_present {
-                PlanKind::Contig
-            } else {
-                PlanKind::Broadcast
-            },
-            block: 1,
-            pos: range.start,
-            end: range.end,
-            lead: 0,
-            base: 0,
-            digits: [Digit::default(); MAX_MOVING_AXES],
-            moving: 0,
+        let kind = if width == 0 || last_present {
+            PlanKind::Contig
+        } else {
+            PlanKind::Broadcast
         };
-        if range.is_empty() {
-            return Ok(walk);
-        }
-        // One pass from the innermost axis out: target strides by a
-        // merge of the two sorted domains (target ⊆ scan), the uniform
-        // suffix, then the odometer seeked to `range.start`.
+        // Target strides by a merge of the two sorted domains (target ⊆
+        // scan), from the innermost axis out.
         let mut unmatched = target.width();
-        let mut in_suffix = true;
-        for (pos, v) in vars.iter().enumerate().rev() {
+        let mut axes = vars.iter().enumerate().rev().map(|(pos, v)| {
             let present = unmatched > 0 && target.vars()[unmatched - 1].id() == v.id();
             let tstride = if present {
                 unmatched -= 1;
@@ -220,45 +222,94 @@ impl BlockWalk {
             } else {
                 0
             };
-            in_suffix &= present == last_present;
-            if in_suffix {
-                walk.block *= v.cardinality();
-            } else if v.cardinality() > 1 {
-                let count = range.start / scan.stride(pos) % v.cardinality();
-                walk.base += count * tstride;
-                walk.digits[walk.moving] = Digit {
-                    card: v.cardinality(),
-                    tstride,
-                    count,
-                };
-                walk.moving += 1;
+            (pos, v.cardinality(), present, tstride)
+        });
+        // The uniform suffix fixes the block length ...
+        let mut block = 1usize;
+        let mut outer = None;
+        for axis @ (_, card, present, _) in axes.by_ref() {
+            if present != last_present {
+                outer = Some(axis);
+                break;
             }
+            block *= card;
         }
-        walk.lead = range.start % walk.block;
-        Ok(walk)
-    }
-
-    pub(crate) fn kind(&self) -> PlanKind {
-        self.kind
-    }
-
-    /// The block at `pos` (or its tail, for a range that ends inside
-    /// it), then one odometer step to the next block.
-    fn take_block(&mut self) -> Segment {
-        let len = (self.block - self.lead).min(self.end - self.pos);
+        // ... and so the cuts: a head up to the first block boundary,
+        // whole blocks, a tail.
+        let lead = range.start % block;
+        let head_len = if lead == 0 {
+            0
+        } else {
+            (block - lead).min(range.len())
+        };
+        let first = range.start + head_len;
+        let whole = (range.end - first) / block;
+        let tail_start = first + whole * block;
+        let mut walk = BlockWalk {
+            left: whole,
+            base: 0,
+            digits: [Digit::default(); MAX_MOVING_AXES],
+            moving: 0,
+        };
+        // The prefix axes: seek the odometer to the first whole block
+        // and the head and tail to their own blocks.
+        let has_tail = range.end > tail_start;
+        let (mut head_base, mut tail_base) = (0, 0);
+        for (pos, card, _, tstride) in outer.into_iter().chain(axes) {
+            if card == 1 {
+                continue;
+            }
+            // The axis's digit at scan entry `at`.
+            let digit = |at: usize| at / scan.stride(pos) % card;
+            if head_len > 0 {
+                head_base += digit(range.start) * tstride;
+            }
+            if has_tail {
+                tail_base += digit(tail_start) * tstride;
+            }
+            let count = digit(first);
+            walk.base += count * tstride;
+            walk.digits[walk.moving] = Digit {
+                card,
+                tstride,
+                count,
+            };
+            walk.moving += 1;
+        }
         // Contig suffix axes are the target's trailing axes, laid out
         // alike: the offset into the block is the offset into the
         // target run.
-        let seg = Segment {
-            target_base: match self.kind {
-                PlanKind::Contig => self.base + self.lead,
-                PlanKind::Broadcast => self.base,
-            },
-            len,
-        };
-        self.pos += len;
-        self.lead = 0;
-        if self.pos < self.end {
+        if kind == PlanKind::Contig {
+            head_base += lead;
+        }
+        Ok(Blocks {
+            kind,
+            block,
+            head: (head_len > 0).then_some(PartialBlock {
+                base: head_base,
+                len: head_len,
+            }),
+            bases: walk,
+            tail: has_tail.then_some(PartialBlock {
+                base: tail_base,
+                len: range.end - tail_start,
+            }),
+        })
+    }
+}
+
+impl Iterator for BlockWalk {
+    type Item = usize;
+
+    /// The current block's base, then one odometer step to the next.
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let base = self.base;
+        if self.left > 0 {
             for d in &mut self.digits[..self.moving] {
                 d.count += 1;
                 self.base += d.tstride;
@@ -269,26 +320,11 @@ impl BlockWalk {
                 self.base -= d.card * d.tstride;
             }
         }
-        seg
+        Some(base)
     }
-}
 
-impl Iterator for BlockWalk {
-    type Item = Segment;
-
-    fn next(&mut self) -> Option<Segment> {
-        if self.pos >= self.end {
-            return None;
-        }
-        let mut seg = self.take_block();
-        // Contiguous runs that continue across a block boundary fuse
-        // into one longer segment.
-        if self.kind == PlanKind::Contig {
-            while self.pos < self.end && self.base == seg.target_base + seg.len {
-                seg.len += self.take_block().len;
-            }
-        }
-        Some(seg)
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
     }
 }
 
@@ -299,20 +335,30 @@ impl KernelPlan {
     /// `scan` is the linearly-walked superdomain (marginalization
     /// source; extension/multiplication destination) and `target` the
     /// projected subdomain. Compilation is `O(width + range.len() /
-    /// block)` — segments, not entries.
+    /// block)` — blocks, not entries.
     ///
     /// # Errors
     ///
     /// [`PotentialError::NotSubdomain`] if `target` ⊄ `scan`;
-    /// [`PotentialError::BadRange`] if `range` exceeds `scan.size()`.
+    /// [`PotentialError::BadRange`] if `range` exceeds `scan.size()`;
+    /// [`PotentialError::PlanTargetTooLarge`] if `target` has
+    /// `u32::MAX` entries or more.
     pub fn compile(scan: &Domain, target: &Domain, range: EntryRange) -> Result<Self> {
         let walk = BlockWalk::new(scan, target, range)?;
+        // Every base is below the target's size, so this one check
+        // makes each narrowing below lossless.
+        if u32::try_from(target.size()).is_err() {
+            return Err(PotentialError::PlanTargetTooLarge { len: target.size() });
+        }
         Ok(Self {
-            kind: walk.kind(),
+            kind: walk.kind,
             range,
             scan_len: scan.size(),
             target_len: target.size(),
-            segs: walk.collect(),
+            block: walk.block,
+            head: walk.head,
+            bases: walk.bases.map(|b| b as u32).collect(),
+            tail: walk.tail,
         })
     }
 
@@ -326,9 +372,24 @@ impl KernelPlan {
         self.range
     }
 
-    /// The run-length segments, in scan order.
-    pub fn segments(&self) -> &[Segment] {
-        &self.segs
+    /// Scan entries per whole block: the uniform suffix's size.
+    pub fn block(&self) -> usize {
+        self.block
+    }
+
+    /// The partial block the range starts in, if it starts mid-block.
+    pub fn head(&self) -> Option<PartialBlock> {
+        self.head
+    }
+
+    /// The target base of every whole block, in scan order.
+    pub fn bases(&self) -> &[u32] {
+        &self.bases
+    }
+
+    /// The partial block the range ends in, if it ends mid-block.
+    pub fn tail(&self) -> Option<PartialBlock> {
+        self.tail
     }
 
     /// Inner-loop operation count: one op per scan entry in the range.
@@ -342,16 +403,27 @@ impl KernelPlan {
     }
 
     /// Memory footprint of this compiled program in bytes: the struct
-    /// itself plus its heap-allocated segment list. Backs the model
+    /// itself plus its heap-allocated base list. Backs the model
     /// registry's resident-byte accounting.
     pub fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.segs.len() * std::mem::size_of::<Segment>()
+        std::mem::size_of::<Self>() + self.bases.len() * std::mem::size_of::<u32>()
+    }
+
+    /// The stored block stream, as the kernels consume it.
+    fn blocks(&self) -> Blocks<impl Iterator<Item = usize> + '_> {
+        Blocks {
+            kind: self.kind,
+            block: self.block,
+            head: self.head,
+            bases: self.bases.iter().map(|&b| b as usize),
+            tail: self.tail,
+        }
     }
 
     /// Sum-marginalization: accumulates `src[range]` (full scan-domain
     /// slice) into the full target table `dst` (the caller zeroes `dst`
-    /// before the first partial). Contiguous segments do one `+=` per
-    /// entry; broadcast segments reduce in the canonical order (see the
+    /// before the first partial). Contiguous blocks do one `+=` per
+    /// entry; broadcast blocks reduce in the canonical order (see the
     /// [module docs](self)) and add the block sum onto the slot.
     ///
     /// # Errors
@@ -362,7 +434,7 @@ impl KernelPlan {
         check_len(self.scan_len, src.len())?;
         check_len(self.target_len, dst.len())?;
         let win = &src[self.range.start..self.range.end];
-        simd::marg_sum(self.kind, self.segs.iter().copied(), win, dst);
+        simd::marg_sum(self.blocks(), win, dst);
         Ok(())
     }
 
@@ -376,7 +448,7 @@ impl KernelPlan {
         check_len(self.scan_len, src.len())?;
         check_len(self.target_len, dst.len())?;
         let win = &src[self.range.start..self.range.end];
-        simd::marg_max(self.kind, self.segs.iter().copied(), win, dst);
+        simd::marg_max(self.blocks(), win, dst);
         Ok(())
     }
 
@@ -391,7 +463,7 @@ impl KernelPlan {
     pub fn extend_into(&self, src: &[f64], out: &mut [f64]) -> Result<()> {
         check_len(self.target_len, src.len())?;
         check_len(self.range.len(), out.len())?;
-        simd::extend(self.kind, self.segs.iter().copied(), src, out);
+        simd::extend(self.blocks(), src, out);
         Ok(())
     }
 
@@ -405,7 +477,7 @@ impl KernelPlan {
     pub fn multiply_into(&self, src: &[f64], out: &mut [f64]) -> Result<()> {
         check_len(self.target_len, src.len())?;
         check_len(self.range.len(), out.len())?;
-        simd::mul(self.kind, self.segs.iter().copied(), src, out);
+        simd::mul(self.blocks(), src, out);
         Ok(())
     }
 }
@@ -531,16 +603,13 @@ mod tests {
     }
 
     #[test]
-    fn whole_domain_projection_is_one_contig_segment() {
+    fn whole_domain_projection_is_one_contig_block() {
         let d = dom(&[(0, 2), (1, 3)]);
         let p = KernelPlan::compile(&d, &d, EntryRange::full(6)).unwrap();
         assert_eq!(p.kind(), PlanKind::Contig);
         assert_eq!(
-            p.segments(),
-            &[Segment {
-                target_base: 0,
-                len: 6
-            }]
+            (p.block(), p.head(), p.bases(), p.tail()),
+            (6, None, &[0][..], None)
         );
         assert_eq!(p.ops(), 6);
     }
@@ -551,36 +620,20 @@ mod tests {
         let p = KernelPlan::compile(&d, &dom(&[]), EntryRange::full(6)).unwrap();
         assert_eq!(p.kind(), PlanKind::Broadcast);
         assert_eq!(
-            p.segments(),
-            &[Segment {
-                target_base: 0,
-                len: 6
-            }]
+            (p.block(), p.head(), p.bases(), p.tail()),
+            (6, None, &[0][..], None)
         );
     }
 
     #[test]
     fn trailing_axis_present_gives_contig_blocks() {
-        // scan [a, b], target [b]: every a-slice is one contiguous run
-        // over the whole target, so the runs fuse per a-value but reset
-        // at each (they all start at base 0 — no fusing across).
+        // scan [a, b], target [b]: every a-slice is one block over the
+        // whole target.
         let scan = dom(&[(0, 2), (1, 3)]);
         let target = dom(&[(1, 3)]);
         let p = KernelPlan::compile(&scan, &target, EntryRange::full(6)).unwrap();
         assert_eq!(p.kind(), PlanKind::Contig);
-        assert_eq!(
-            p.segments(),
-            &[
-                Segment {
-                    target_base: 0,
-                    len: 3
-                },
-                Segment {
-                    target_base: 0,
-                    len: 3
-                }
-            ]
-        );
+        assert_eq!((p.block(), p.bases()), (3, &[0, 0][..]));
     }
 
     #[test]
@@ -591,19 +644,7 @@ mod tests {
         let target = dom(&[(0, 2)]);
         let p = KernelPlan::compile(&scan, &target, EntryRange::full(6)).unwrap();
         assert_eq!(p.kind(), PlanKind::Broadcast);
-        assert_eq!(
-            p.segments(),
-            &[
-                Segment {
-                    target_base: 0,
-                    len: 3
-                },
-                Segment {
-                    target_base: 1,
-                    len: 3
-                }
-            ]
-        );
+        assert_eq!((p.block(), p.bases()), (3, &[0, 1][..]));
     }
 
     #[test]
@@ -611,20 +652,36 @@ mod tests {
         let scan = dom(&[(0, 2), (1, 3)]);
         let target = dom(&[(0, 2)]);
         let p = KernelPlan::compile(&scan, &target, EntryRange { start: 2, end: 4 }).unwrap();
-        assert_eq!(
-            p.segments(),
-            &[
-                Segment {
-                    target_base: 0,
-                    len: 1
-                },
-                Segment {
-                    target_base: 1,
-                    len: 1
-                }
-            ]
-        );
+        assert_eq!(p.head(), Some(PartialBlock { base: 0, len: 1 }));
+        assert!(p.bases().is_empty());
+        assert_eq!(p.tail(), Some(PartialBlock { base: 1, len: 1 }));
         assert_eq!(p.ops(), 2);
+        // a contig head starts at its offset into the block
+        let p =
+            KernelPlan::compile(&scan, &dom(&[(1, 3)]), EntryRange { start: 1, end: 6 }).unwrap();
+        assert_eq!(p.head(), Some(PartialBlock { base: 1, len: 2 }));
+        assert_eq!((p.bases(), p.tail()), (&[0][..], None));
+        // a range inside one block is only a head, or only a tail
+        let p = KernelPlan::compile(&scan, &target, EntryRange { start: 4, end: 5 }).unwrap();
+        assert_eq!(
+            (p.head(), p.tail()),
+            (Some(PartialBlock { base: 1, len: 1 }), None)
+        );
+        let p = KernelPlan::compile(&scan, &target, EntryRange { start: 3, end: 5 }).unwrap();
+        assert_eq!(
+            (p.head(), p.tail()),
+            (None, Some(PartialBlock { base: 1, len: 2 }))
+        );
+    }
+
+    #[test]
+    fn plan_target_past_u32_is_refused() {
+        let huge = Domain::new((0..33).map(|i| Variable::binary(VarId(i))).collect()).unwrap();
+        let err = KernelPlan::compile(&huge, &huge, EntryRange { start: 0, end: 0 });
+        assert!(matches!(
+            err,
+            Err(PotentialError::PlanTargetTooLarge { .. })
+        ));
     }
 
     #[test]

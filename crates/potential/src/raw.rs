@@ -38,8 +38,9 @@
 //!   the entry points here entirely;
 //! * **streamed** — the entry points here (`marginalize_range_into_raw`,
 //!   `max_marginalize_range_into_raw`, `extend_range_into_raw`,
-//!   `multiply_range_into_raw`) run the same block walk straight into
-//!   the same slice loops, with no plan and no allocation: every
+//!   `multiply_range_into_raw`) run the same block walk — head, one
+//!   base per whole block, tail — straight into the same block loops,
+//!   with no plan and no allocation: every
 //!   one-off kernel call (the `PotentialTable` methods, the read-out of
 //!   every query, the sequential oracle) takes this form;
 //! * **walker** (`*_walker`) — derives the index mapping on the fly
@@ -100,6 +101,7 @@ fn check_subdomain(sub: &Domain, sup: &Domain) -> Result<()> {
 /// `(l0 + l2) + (l1 + l3)`; the `len % 4` tail entries then add in
 /// sequentially. The total starts from `0.0` — callers fold it into
 /// their own accumulator (see [`reduce_add_into`]).
+#[inline(always)]
 pub fn sum_canonical(xs: &[f64]) -> f64 {
     let mut it = xs.chunks_exact(4);
     let mut total = 0.0;
@@ -123,6 +125,7 @@ pub fn sum_canonical(xs: &[f64]) -> f64 {
 /// 4-lane tree as [`sum_canonical`], using the select
 /// `if x > m { m = x }` everywhere — on ties (`+0.0` vs `-0.0`) and
 /// NaNs the accumulator is kept.
+#[inline(always)]
 pub fn fold_max_canonical(init: f64, xs: &[f64]) -> f64 {
     let mut it = xs.chunks_exact(4);
     let mut acc = init;
@@ -162,7 +165,7 @@ pub fn fold_max_canonical(init: f64, xs: &[f64]) -> f64 {
 /// canonical sum order. The single-entry fast path (`δ = 1` plans) is
 /// shared here so the walker and planned forms perform the identical
 /// `+=` (not `+= (0.0 + x)`, which differs for `-0.0`).
-#[inline]
+#[inline(always)]
 pub(crate) fn reduce_add_into(slot: &mut f64, xs: &[f64]) {
     if let [x] = xs {
         *slot += *x;
@@ -221,7 +224,7 @@ pub fn extend_range_into_raw(
     let walk = BlockWalk::new(dst_domain, src_domain, range)?;
     check_len(src_domain.size(), src.len())?;
     check_len(range.len(), out.len())?;
-    simd::extend(walk.kind(), walk, src, out);
+    simd::extend(walk, src, out);
     Ok(())
 }
 
@@ -273,7 +276,7 @@ pub fn multiply_range_into_raw(
     let walk = BlockWalk::new(dst_domain, src_domain, range)?;
     check_len(src_domain.size(), src.len())?;
     check_len(range.len(), out.len())?;
-    simd::mul(walk.kind(), walk, src, out);
+    simd::mul(walk, src, out);
     Ok(())
 }
 
@@ -329,7 +332,7 @@ pub fn marginalize_range_into_raw(
     let walk = BlockWalk::new(src_domain, dst_domain, range)?;
     check_len(src_domain.size(), src.len())?;
     check_len(dst_domain.size(), dst.len())?;
-    simd::marg_sum(walk.kind(), walk, &src[range.start..range.end], dst);
+    simd::marg_sum(walk, &src[range.start..range.end], dst);
     Ok(())
 }
 
@@ -395,7 +398,7 @@ pub fn max_marginalize_range_into_raw(
     let walk = BlockWalk::new(src_domain, dst_domain, range)?;
     check_len(src_domain.size(), src.len())?;
     check_len(dst_domain.size(), dst.len())?;
-    simd::marg_max(walk.kind(), walk, &src[range.start..range.end], dst);
+    simd::marg_max(walk, &src[range.start..range.end], dst);
     Ok(())
 }
 

@@ -3,7 +3,7 @@
 //! The [`KernelPlan`](crate::KernelPlan) interpreter and the walker
 //! kernels in [`raw`](crate::raw) spend essentially all of their time in
 //! a handful of slice loops: elementwise add/max/multiply/divide over
-//! contiguous segments, and the broadcast sum/max reductions that
+//! contiguous blocks, and the broadcast sum/max reductions that
 //! collapse a block of scan entries onto one separator slot. This module
 //! holds those loops once, as plain safe Rust in a shape LLVM
 //! vectorises for whatever the build targets (SSE2 at the x86-64
@@ -35,17 +35,22 @@
 //!   bits by construction. Division keeps the Hugin `x/0 = 0`
 //!   convention through [`safe_div`], whose zero result is `+0.0`.
 //!
-//! The fused `marg_*` / `extend` / `mul` loops run a whole segment
-//! stream in one call — a compiled plan's list or a streamed
-//! [`BlockWalk`](crate::plan::BlockWalk), the same segments either way;
-//! each performs the exact per-segment operation sequence of the
-//! single-block loop it calls.
+//! The `marg_*` / `extend` / `mul` kernels run a whole block stream in
+//! one call — a compiled plan's head/bases/tail or a streamed
+//! [`BlockWalk`](crate::plan::BlockWalk), the same blocks either way.
+//! Each runs the partial head, then every whole block, then the partial
+//! tail, through one per-block operation; the whole blocks of lengths 1,
+//! 2, 4, 8 and 16 run with the length as a compile-time constant, which
+//! turns a short block into straight-line code. Every block performs
+//! the exact operation sequence of the single-block loop it calls,
+//! whatever its length's instantiation.
 
-use crate::plan::{PlanKind, Segment};
+use crate::plan::{Blocks, PlanKind};
 use crate::primitives::safe_div;
 use crate::raw::{fold_max_canonical, reduce_add_into};
 
 /// Elementwise `dst[i] += src[i]`.
+#[inline(always)]
 pub(crate) fn add_assign(dst: &mut [f64], src: &[f64]) {
     debug_assert_eq!(dst.len(), src.len());
     for (a, &b) in dst.iter_mut().zip(src) {
@@ -54,6 +59,7 @@ pub(crate) fn add_assign(dst: &mut [f64], src: &[f64]) {
 }
 
 /// Elementwise `dst[i] = if src[i] > dst[i] { src[i] } else { dst[i] }`.
+#[inline(always)]
 pub(crate) fn max_assign(dst: &mut [f64], src: &[f64]) {
     debug_assert_eq!(dst.len(), src.len());
     for (a, &b) in dst.iter_mut().zip(src) {
@@ -64,6 +70,7 @@ pub(crate) fn max_assign(dst: &mut [f64], src: &[f64]) {
 }
 
 /// Elementwise `dst[i] *= src[i]`.
+#[inline(always)]
 fn mul_assign(dst: &mut [f64], src: &[f64]) {
     debug_assert_eq!(dst.len(), src.len());
     for (a, &b) in dst.iter_mut().zip(src) {
@@ -72,6 +79,7 @@ fn mul_assign(dst: &mut [f64], src: &[f64]) {
 }
 
 /// Broadcast `dst[i] *= m`.
+#[inline(always)]
 fn mul_scalar(dst: &mut [f64], m: f64) {
     for a in dst {
         *a *= m;
@@ -95,119 +103,276 @@ pub(crate) fn div_assign(dst: &mut [f64], den: &[f64]) {
     }
 }
 
-/// Sum-marginalization of a range window `src` (segments in scan
-/// order): contig segments `dst[tb..tb+len] += src[pos..]`, broadcast
-/// segments `dst[tb] +=` the canonical-order sum of their block
-/// (one-entry blocks add directly).
-pub(crate) fn marg_sum(
-    kind: PlanKind,
-    segs: impl IntoIterator<Item = Segment>,
-    src: &[f64],
-    dst: &mut [f64],
-) {
-    let mut pos = 0;
-    match kind {
-        PlanKind::Contig => {
-            for seg in segs {
-                add_assign(
-                    &mut dst[seg.target_base..seg.target_base + seg.len],
-                    &src[pos..pos + seg.len],
-                );
-                pos += seg.len;
-            }
-        }
-        PlanKind::Broadcast => {
-            for seg in segs {
-                reduce_add_into(&mut dst[seg.target_base], &src[pos..pos + seg.len]);
-                pos += seg.len;
-            }
-        }
+/// A whole block's length: a compile-time constant for the short
+/// lengths the kernels specialise, the runtime value otherwise.
+trait BlockLen: Copy {
+    fn get(self) -> usize;
+}
+
+/// The block length `N`, known to the compiler.
+#[derive(Clone, Copy)]
+struct Fixed<const N: usize>;
+
+impl<const N: usize> BlockLen for Fixed<N> {
+    #[inline(always)]
+    fn get(self) -> usize {
+        N
     }
 }
 
-/// Max-marginalization: elementwise select per contig segment, the
-/// canonical-order max fold of each broadcast block into its slot.
-pub(crate) fn marg_max(
-    kind: PlanKind,
-    segs: impl IntoIterator<Item = Segment>,
-    src: &[f64],
-    dst: &mut [f64],
-) {
+impl BlockLen for usize {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self
+    }
+}
+
+/// One kernel's work on one block: the `len` scan entries at window
+/// offset `pos`, whose target indices start at `base`.
+trait BlockOp {
+    fn apply(&mut self, base: usize, pos: usize, len: usize);
+}
+
+/// The whole blocks from window offset `pos` on; returns the offset
+/// past the last.
+#[inline(always)]
+fn whole_blocks<L: BlockLen, O: BlockOp>(
+    len: L,
+    mut pos: usize,
+    bases: impl Iterator<Item = usize>,
+    op: &mut O,
+) -> usize {
+    for base in bases {
+        op.apply(base, pos, len.get());
+        pos += len.get();
+    }
+    pos
+}
+
+/// Runs `op` over a block stream: the head, the whole blocks (short
+/// lengths through their constant instantiation), the tail.
+#[inline]
+fn run<O: BlockOp>(blocks: Blocks<impl Iterator<Item = usize>>, op: &mut O) {
     let mut pos = 0;
-    match kind {
-        PlanKind::Contig => {
-            for seg in segs {
-                max_assign(
-                    &mut dst[seg.target_base..seg.target_base + seg.len],
-                    &src[pos..pos + seg.len],
-                );
-                pos += seg.len;
-            }
-        }
-        PlanKind::Broadcast => {
-            for seg in segs {
-                let slot = &mut dst[seg.target_base];
-                *slot = fold_max_canonical(*slot, &src[pos..pos + seg.len]);
-                pos += seg.len;
-            }
-        }
+    if let Some(h) = blocks.head {
+        op.apply(h.base, 0, h.len);
+        pos = h.len;
+    }
+    let bases = blocks.bases;
+    pos = match blocks.block {
+        1 => whole_blocks(Fixed::<1>, pos, bases, op),
+        2 => whole_blocks(Fixed::<2>, pos, bases, op),
+        4 => whole_blocks(Fixed::<4>, pos, bases, op),
+        8 => whole_blocks(Fixed::<8>, pos, bases, op),
+        16 => whole_blocks(Fixed::<16>, pos, bases, op),
+        n => whole_blocks(n, pos, bases, op),
+    };
+    if let Some(t) = blocks.tail {
+        op.apply(t.base, pos, t.len);
+    }
+}
+
+/// Contig sum-marginalization: `target[base..] += scan[pos..]`.
+struct AddRun<'a> {
+    scan: &'a [f64],
+    target: &'a mut [f64],
+}
+
+impl BlockOp for AddRun<'_> {
+    #[inline(always)]
+    fn apply(&mut self, base: usize, pos: usize, len: usize) {
+        add_assign(
+            &mut self.target[base..base + len],
+            &self.scan[pos..pos + len],
+        );
+    }
+}
+
+/// Broadcast sum-marginalization: `target[base] +=` the block's
+/// canonical-order sum.
+struct SumBlock<'a> {
+    scan: &'a [f64],
+    target: &'a mut [f64],
+}
+
+impl BlockOp for SumBlock<'_> {
+    #[inline(always)]
+    fn apply(&mut self, base: usize, pos: usize, len: usize) {
+        reduce_add_into(&mut self.target[base], &self.scan[pos..pos + len]);
+    }
+}
+
+/// Contig max-marginalization: elementwise select into `target[base..]`.
+struct MaxRun<'a> {
+    scan: &'a [f64],
+    target: &'a mut [f64],
+}
+
+impl BlockOp for MaxRun<'_> {
+    #[inline(always)]
+    fn apply(&mut self, base: usize, pos: usize, len: usize) {
+        max_assign(
+            &mut self.target[base..base + len],
+            &self.scan[pos..pos + len],
+        );
+    }
+}
+
+/// Broadcast max-marginalization: the block's canonical-order max fold
+/// into `target[base]`.
+struct MaxBlock<'a> {
+    scan: &'a [f64],
+    target: &'a mut [f64],
+}
+
+impl BlockOp for MaxBlock<'_> {
+    #[inline(always)]
+    fn apply(&mut self, base: usize, pos: usize, len: usize) {
+        let slot = &mut self.target[base];
+        *slot = fold_max_canonical(*slot, &self.scan[pos..pos + len]);
+    }
+}
+
+/// Contig extension: `scan[pos..]` copies `target[base..]`.
+struct CopyRun<'a> {
+    scan: &'a mut [f64],
+    target: &'a [f64],
+}
+
+impl BlockOp for CopyRun<'_> {
+    #[inline(always)]
+    fn apply(&mut self, base: usize, pos: usize, len: usize) {
+        self.scan[pos..pos + len].copy_from_slice(&self.target[base..base + len]);
+    }
+}
+
+/// Broadcast extension: `scan[pos..]` fills with `target[base]`.
+struct FillBlock<'a> {
+    scan: &'a mut [f64],
+    target: &'a [f64],
+}
+
+impl BlockOp for FillBlock<'_> {
+    #[inline(always)]
+    fn apply(&mut self, base: usize, pos: usize, len: usize) {
+        self.scan[pos..pos + len].fill(self.target[base]);
+    }
+}
+
+/// Contig multiplication: `scan[pos..] *= target[base..]`.
+struct MulRun<'a> {
+    scan: &'a mut [f64],
+    target: &'a [f64],
+}
+
+impl BlockOp for MulRun<'_> {
+    #[inline(always)]
+    fn apply(&mut self, base: usize, pos: usize, len: usize) {
+        mul_assign(
+            &mut self.scan[pos..pos + len],
+            &self.target[base..base + len],
+        );
+    }
+}
+
+/// Broadcast multiplication: `scan[pos..] *= target[base]`.
+struct ScaleBlock<'a> {
+    scan: &'a mut [f64],
+    target: &'a [f64],
+}
+
+impl BlockOp for ScaleBlock<'_> {
+    #[inline(always)]
+    fn apply(&mut self, base: usize, pos: usize, len: usize) {
+        mul_scalar(&mut self.scan[pos..pos + len], self.target[base]);
+    }
+}
+
+/// Sum-marginalization of a range window `src` into the full target
+/// table `dst`: contig blocks `dst[base..] += src[pos..]`, broadcast
+/// blocks `dst[base] +=` the canonical-order sum of the block
+/// (one-entry blocks add directly).
+pub(crate) fn marg_sum(blocks: Blocks<impl Iterator<Item = usize>>, src: &[f64], dst: &mut [f64]) {
+    match blocks.kind {
+        PlanKind::Contig => run(
+            blocks,
+            &mut AddRun {
+                scan: src,
+                target: dst,
+            },
+        ),
+        PlanKind::Broadcast => run(
+            blocks,
+            &mut SumBlock {
+                scan: src,
+                target: dst,
+            },
+        ),
+    }
+}
+
+/// Max-marginalization: elementwise select per contig block, the
+/// canonical-order max fold of each broadcast block into its slot.
+pub(crate) fn marg_max(blocks: Blocks<impl Iterator<Item = usize>>, src: &[f64], dst: &mut [f64]) {
+    match blocks.kind {
+        PlanKind::Contig => run(
+            blocks,
+            &mut MaxRun {
+                scan: src,
+                target: dst,
+            },
+        ),
+        PlanKind::Broadcast => run(
+            blocks,
+            &mut MaxBlock {
+                scan: src,
+                target: dst,
+            },
+        ),
     }
 }
 
 /// Extension into a range window `out` of the scan-domain destination:
-/// contig segments copy `src[tb..tb+len]`, broadcast segments fill with
-/// `src[tb]` (`src` is the full target-domain table).
-pub(crate) fn extend(
-    kind: PlanKind,
-    segs: impl IntoIterator<Item = Segment>,
-    src: &[f64],
-    out: &mut [f64],
-) {
-    let mut pos = 0;
-    match kind {
-        PlanKind::Contig => {
-            for seg in segs {
-                out[pos..pos + seg.len]
-                    .copy_from_slice(&src[seg.target_base..seg.target_base + seg.len]);
-                pos += seg.len;
-            }
-        }
-        PlanKind::Broadcast => {
-            for seg in segs {
-                out[pos..pos + seg.len].fill(src[seg.target_base]);
-                pos += seg.len;
-            }
-        }
+/// contig blocks copy `src[base..]`, broadcast blocks fill with
+/// `src[base]` (`src` is the full target-domain table).
+pub(crate) fn extend(blocks: Blocks<impl Iterator<Item = usize>>, src: &[f64], out: &mut [f64]) {
+    match blocks.kind {
+        PlanKind::Contig => run(
+            blocks,
+            &mut CopyRun {
+                scan: out,
+                target: src,
+            },
+        ),
+        PlanKind::Broadcast => run(
+            blocks,
+            &mut FillBlock {
+                scan: out,
+                target: src,
+            },
+        ),
     }
 }
 
-/// Multiplication of a range window `out`: contig segments
-/// `out[pos..] *= src[tb..tb+len]`, broadcast segments
-/// `out[pos..pos+len] *= src[tb]` (`src` is the full target-domain
-/// factor).
-pub(crate) fn mul(
-    kind: PlanKind,
-    segs: impl IntoIterator<Item = Segment>,
-    src: &[f64],
-    out: &mut [f64],
-) {
-    let mut pos = 0;
-    match kind {
-        PlanKind::Contig => {
-            for seg in segs {
-                mul_assign(
-                    &mut out[pos..pos + seg.len],
-                    &src[seg.target_base..seg.target_base + seg.len],
-                );
-                pos += seg.len;
-            }
-        }
-        PlanKind::Broadcast => {
-            for seg in segs {
-                mul_scalar(&mut out[pos..pos + seg.len], src[seg.target_base]);
-                pos += seg.len;
-            }
-        }
+/// Multiplication of a range window `out`: contig blocks
+/// `out[pos..] *= src[base..]`, broadcast blocks `out[pos..] *=
+/// src[base]` (`src` is the full target-domain factor).
+pub(crate) fn mul(blocks: Blocks<impl Iterator<Item = usize>>, src: &[f64], out: &mut [f64]) {
+    match blocks.kind {
+        PlanKind::Contig => run(
+            blocks,
+            &mut MulRun {
+                scan: out,
+                target: src,
+            },
+        ),
+        PlanKind::Broadcast => run(
+            blocks,
+            &mut ScaleBlock {
+                scan: out,
+                target: src,
+            },
+        ),
     }
 }
 

@@ -163,12 +163,6 @@ impl PotentialTable {
         Ok(())
     }
 
-    /// Resets every entry to `1.0` in place (separator buffers between
-    /// serving queries).
-    pub fn reset_ones(&mut self) {
-        self.fill(1.0);
-    }
-
     /// Multiplies every entry by `factor`.
     pub fn scale(&mut self, factor: f64) {
         for v in &mut self.data {
@@ -385,8 +379,6 @@ mod tests {
         let mut dst = PotentialTable::zeros(d);
         dst.copy_from(&src).unwrap();
         assert_eq!(dst.data(), src.data());
-        dst.reset_ones();
-        assert_eq!(dst.data(), &[1.0, 1.0]);
         // mismatched domains are rejected, even at equal size
         let other = PotentialTable::ones(dom(&[(1, 2)]));
         assert_eq!(dst.copy_from(&other), Err(PotentialError::DomainMismatch));

@@ -86,20 +86,22 @@
 //!
 //! They matter to the answer, and `reset` rewrites exactly the buffers
 //! a job reads before it writes them: the clique potentials (copy plus
-//! hard and soft evidence) and the `Ones` separators. It leaves the
-//! [`BufferInit::Scratch`] buffers (`sep_up`, `ratio_up`, `ext_up` and
-//! their distribute twins) as the last job left them, because every
-//! graph the builders emit — two-phase, collect-only, max-product and
+//! hard and soft evidence). It leaves the [`BufferInit::Scratch`]
+//! buffers (`sep_up` and the distribute `sep_down`, `ratio_down`,
+//! `ext_down`) as the last job left them, because every graph the
+//! builders emit — two-phase, collect-only, max-product and
 //! `replicate`d — writes each scratch buffer over its full length
 //! before any task reads it: a marginalization zero-fills its
 //! destination before accumulating, divide and extend overwrite
 //! theirs, and δ-partitioned parts tile the whole range. A job that was
 //! cancelled or panicked halfway leaves scratch half-written, which the
 //! next full job overwrites the same way. Incremental slices are the
-//! one reader of scratch an earlier job wrote (cached `ext_up` /
-//! `sep_*` messages of clean subtrees); they run only after
-//! [`TableArena::reset_cliques`] or a full job, never after a bare
-//! `reset`.
+//! one reader of scratch an earlier job wrote (the cached `sep_up`
+//! messages of clean subtrees, a stale edge's stored `sep_down`); they
+//! run only after [`TableArena::reset_cliques`] or a full job, never
+//! after a bare `reset`. The stale-edge `stash`es
+//! ([`BufferInit::SliceScratch`]) are written before they are read by
+//! the one slice chain that uses them, so `reset` leaves them too.
 //!
 //! ## Layout identity
 //!
@@ -146,9 +148,8 @@ unsafe impl Sync for TableArena {}
 impl TableArena {
     /// Allocates and initializes every buffer of `graph`:
     /// clique buffers copy `clique_potentials` (then absorb `evidence`),
-    /// separators start at ones, scratch at zeros (only so a fresh
-    /// arena's contents are defined: built graphs write scratch before
-    /// reading it).
+    /// scratch starts at zeros (only so a fresh arena's contents are
+    /// defined: built graphs write scratch before reading it).
     /// Hard evidence is absorbed into every containing clique
     /// (idempotent); each soft likelihood is multiplied into exactly
     /// **one** clique — applying it twice would double-count the
@@ -177,8 +178,9 @@ impl TableArena {
                             .expect("evidence states are validated upstream");
                         t
                     }
-                    BufferInit::Ones => PotentialTable::ones(spec.domain.clone()),
-                    BufferInit::Scratch => PotentialTable::zeros(spec.domain.clone()),
+                    BufferInit::Scratch | BufferInit::SliceScratch => {
+                        PotentialTable::zeros(spec.domain.clone())
+                    }
                 };
                 UnsafeCell::new(table)
             })
@@ -225,8 +227,8 @@ impl TableArena {
 
     /// Re-initializes **what a job reads before writing** in place for
     /// a fresh query, with zero allocations: clique buffers copy
-    /// `clique_potentials` again and absorb `evidence`, separators
-    /// reset to ones. [`BufferInit::Scratch`] buffers keep whatever the
+    /// `clique_potentials` again and absorb `evidence`.
+    /// [`BufferInit::Scratch`] buffers keep whatever the
     /// last job left — every graph the [`TaskGraph`] builders emit
     /// overwrites each of them before any task reads it, so a full job
     /// after `reset` computes bit-for-bit what it computes after
@@ -259,10 +261,9 @@ impl TableArena {
                         .absorb_into(t)
                         .expect("evidence states are validated upstream");
                 }
-                BufferInit::Ones => t.reset_ones(),
-                // Write-before-read in every built graph: see
-                // "Reuse across jobs" in the module docs.
-                BufferInit::Scratch => {}
+                // Write-before-read in every built graph and slice:
+                // see "Reuse across jobs" in the module docs.
+                BufferInit::Scratch | BufferInit::SliceScratch => {}
             }
         }
         apply_soft_and_check(graph, evidence, &mut self.cells);
@@ -727,13 +728,12 @@ mod tests {
         assert_eq!(tables[0].data(), &[0.0, 0.0, 0.3, 0.4]);
         // clique 1 untouched by that evidence
         assert_eq!(tables[1].data(), &[1.0, 1.0, 1.0, 1.0]);
-        // sep_old buffer is ones; find one
-        let ones = g
-            .buffers()
-            .iter()
-            .position(|b| b.init == BufferInit::Ones)
-            .unwrap();
-        assert!(tables[ones].data().iter().all(|&v| v == 1.0));
+        // scratch starts at zeros
+        for (t, spec) in tables.iter().zip(g.buffers()) {
+            if spec.init == BufferInit::Scratch {
+                assert!(t.data().iter().all(|&v| v == 0.0));
+            }
+        }
     }
 
     #[test]
@@ -746,7 +746,7 @@ mod tests {
     }
 
     /// `reset` restores every buffer a job reads before writing — the
-    /// clique and `Ones` buffers — to what `initialize` gives, and
+    /// clique buffers — to what `initialize` gives, and
     /// leaves scratch exactly as the last job left it.
     #[test]
     fn reset_equals_fresh_initialize() {
@@ -769,7 +769,7 @@ mod tests {
         let (a, b) = (arena.into_tables(), fresh.into_tables());
         assert_eq!(a.len(), b.len());
         for (i, ((x, y), spec)) in a.iter().zip(&b).zip(g.buffers()).enumerate() {
-            if spec.init == BufferInit::Scratch {
+            if matches!(spec.init, BufferInit::Scratch | BufferInit::SliceScratch) {
                 assert!(x.data().iter().all(|&v| v == 7.5), "scratch {i} rewritten");
             } else {
                 assert_eq!(x.data(), y.data(), "buffer {i} differs after reset");

@@ -72,11 +72,11 @@ mod sessions;
 
 pub use metrics::{quantile_of, Counter, FaultStats, LatencyHistogram, RuntimeStats, ShardStats};
 pub use protocol::{
-    check_likelihood_weights, format_drain_ack, format_error, format_model_list,
-    format_model_loaded, format_model_swapped, format_model_unloaded, format_response,
-    format_response_timed, format_session_ack, format_session_opened, format_session_response,
-    format_stats, format_trace, parse_json, parse_request, parse_request_line, parse_request_value,
-    request_model, request_session, with_model_tag, Json, ModelNames, NumericNames, Request,
+    format_drain_ack, format_error, format_model_list, format_model_loaded, format_model_swapped,
+    format_model_unloaded, format_response, format_response_timed, format_session_ack,
+    format_session_opened, format_session_response, format_stats, format_trace, parse_json,
+    parse_request, parse_request_line, parse_request_value, request_model, request_session,
+    resolve_finding, resolve_likelihood, with_model_tag, Json, ModelNames, NumericNames, Request,
 };
 pub use queue::{AdmissionQueue, PushError};
 pub use runtime::{

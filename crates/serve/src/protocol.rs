@@ -830,8 +830,7 @@ fn query_from_json(v: &Json, names: &dyn ModelNames) -> Result<Query, String> {
             return Err("\"evidence\" must be an object".to_string());
         };
         for (var_name, state) in fields {
-            let var = resolve_var(names, &Json::Str(var_name.clone()))?;
-            let s = resolve_state(names, var, state)?;
+            let (var, s) = resolve_finding(names, var_name, state)?;
             evidence.observe(var, s);
         }
     }
@@ -840,17 +839,9 @@ fn query_from_json(v: &Json, names: &dyn ModelNames) -> Result<Query, String> {
             return Err("\"likelihood\" must be an object".to_string());
         };
         for (var_name, weights) in fields {
-            let var = resolve_var(names, &Json::Str(var_name.clone()))?;
             let Json::Arr(items) = weights else {
                 return Err(format!("likelihood of '{var_name}' must be an array"));
             };
-            if items.len() != names.num_states(var) {
-                return Err(format!(
-                    "likelihood of '{var_name}' needs {} weights, got {}",
-                    names.num_states(var),
-                    items.len()
-                ));
-            }
             let ws: Vec<f64> = items
                 .iter()
                 .map(|w| match w {
@@ -858,11 +849,55 @@ fn query_from_json(v: &Json, names: &dyn ModelNames) -> Result<Query, String> {
                     other => Err(format!("bad likelihood weight: {other}")),
                 })
                 .collect::<Result<_, _>>()?;
-            check_likelihood_weights(var_name, &ws)?;
+            let var = resolve_likelihood(names, var_name, &ws)?;
             evidence.observe_likelihood(var, ws);
         }
     }
     Ok(Query::new(target, evidence))
+}
+
+/// Resolves one hard finding `var_name = state`, where `state` is a
+/// state name or an index below the variable's cardinality — the one
+/// check behind the wire's `"evidence"` field and the CLI's
+/// `--evidence`.
+///
+/// # Errors
+///
+/// A deterministic message for an unknown variable, an unknown state
+/// name or an index out of range.
+pub fn resolve_finding(
+    names: &dyn ModelNames,
+    var_name: &str,
+    state: &Json,
+) -> Result<(VarId, usize), String> {
+    let var = resolve_var(names, &Json::Str(var_name.to_string()))?;
+    Ok((var, resolve_state(names, var, state)?))
+}
+
+/// Resolves the variable of one soft finding and checks its weights:
+/// one per state of the variable, and [`check_likelihood_weights`] —
+/// the one check behind the wire's `"likelihood"` field and the CLI's
+/// `--likelihood`.
+///
+/// # Errors
+///
+/// A deterministic message for an unknown variable, a weight count
+/// that is not the variable's cardinality, or a bad weight.
+pub fn resolve_likelihood(
+    names: &dyn ModelNames,
+    var_name: &str,
+    weights: &[f64],
+) -> Result<VarId, String> {
+    let var = resolve_var(names, &Json::Str(var_name.to_string()))?;
+    if weights.len() != names.num_states(var) {
+        return Err(format!(
+            "likelihood of '{var_name}' needs {} weights, got {}",
+            names.num_states(var),
+            weights.len()
+        ));
+    }
+    check_likelihood_weights(var_name, weights)?;
+    Ok(var)
 }
 
 /// Checks one soft-evidence vector where it enters the program (the
@@ -875,7 +910,7 @@ fn query_from_json(v: &Json, names: &dyn ModelNames) -> Result<Query, String> {
 ///
 /// A deterministic message naming the variable and the offending
 /// weight.
-pub fn check_likelihood_weights(var_name: &str, weights: &[f64]) -> Result<(), String> {
+fn check_likelihood_weights(var_name: &str, weights: &[f64]) -> Result<(), String> {
     if let Some((i, w)) = weights
         .iter()
         .enumerate()

@@ -10,17 +10,26 @@ use evprop_jtree::{CliqueId, TreeShape};
 use evprop_potential::{Domain, EntryRange};
 use std::sync::OnceLock;
 
-/// Each junction-tree edge expands into 8 tasks: the 4-primitive chain of
-/// the collect message plus the 4-primitive chain of the distribute
-/// message (Fig. 2b/c).
-pub const MESSAGE_TASKS_PER_EDGE: usize = 8;
+/// Each junction-tree edge expands into 6 tasks: the collect message
+/// `Marginalize → Multiply` (the child's separator marginal multiplied
+/// straight into the parent through the (parent, separator) index map)
+/// plus the 4-primitive distribute chain `Marginalize → Divide → Extend
+/// → Multiply` (Fig. 2b/c). A collect-only graph has 2 per edge.
+pub const MESSAGE_TASKS_PER_EDGE: usize = 6;
 
 impl TaskGraph {
     /// Builds the task dependency graph for two-phase evidence propagation
     /// over `shape`, following §5.2: the clique updating graph (collect
     /// phase depending on children, distribute phase on the parent),
-    /// refined by the per-edge local task chains
-    /// `Marginalize → Divide → Extend → Multiply`. Multiplications into
+    /// refined by the per-edge local task chains: `Marginalize →
+    /// Multiply` for a collect message and `Marginalize → Divide →
+    /// Extend → Multiply` for a distribute message. The collect chain is
+    /// the paper's four-primitive chain with its no-op steps dropped:
+    /// the original separator it would divide by is all ones
+    /// (`safe_div(x, 1.0) == x` for every finite `x`), and multiplying
+    /// the parent by the extended separator is the same single
+    /// multiply per entry as multiplying it by the separator through
+    /// the (parent, separator) plan. Multiplications into
     /// the same clique are serialized (they share a destination table);
     /// everything else runs as parallel as the tree allows.
     ///
@@ -57,7 +66,7 @@ impl TaskGraph {
             succ: Vec::new(),
             succ_start: Vec::new(),
             pred_count: Vec::new(),
-            buffers: Vec::with_capacity(n * 8),
+            buffers: Vec::with_capacity(n * 6),
             clique_buffers: Vec::with_capacity(n),
             edge_buffers: vec![None; n],
             clique_plans: Vec::with_capacity(n),
@@ -80,24 +89,18 @@ impl TaskGraph {
 
         // per-edge scratch buffers
         for c in (0..n).map(CliqueId) {
-            let Some(p) = shape.parent(c) else { continue };
+            if shape.parent(c).is_none() {
+                continue;
+            }
             let sep = shape.parent_separator(c).clone();
             let eb = EdgeBuffers {
-                sep_old: g.push_buffer(BufferSpec {
-                    domain: sep.clone(),
-                    init: BufferInit::Ones,
-                }),
                 sep_up: g.push_buffer(BufferSpec {
                     domain: sep.clone(),
                     init: BufferInit::Scratch,
                 }),
-                ratio_up: g.push_buffer(BufferSpec {
+                stash: g.push_buffer(BufferSpec {
                     domain: sep.clone(),
-                    init: BufferInit::Scratch,
-                }),
-                ext_up: g.push_buffer(BufferSpec {
-                    domain: shape.domain(p).clone(),
-                    init: BufferInit::Scratch,
+                    init: BufferInit::SliceScratch,
                 }),
                 down: include_distribute.then(|| DownBuffers {
                     sep_down: g.push_buffer(BufferSpec {
@@ -153,7 +156,6 @@ impl TaskGraph {
         for c in shape.postorder() {
             let Some(p) = shape.parent(c) else { continue };
             let (eb, ep) = g.edge(c);
-            let sep_len = g.buffers[eb.sep_up.index()].domain.size() as u64;
             let clique_dom = shape.domain(c);
             let parent_dom = shape.domain(p);
 
@@ -180,50 +182,19 @@ impl TaskGraph {
                 &mut preds,
             );
 
-            let div = g.push_task(
+            // serialize with the previous multiply into the parent
+            let mul = g.push_task(
                 Task {
-                    kind: TaskKind::Divide {
-                        num: eb.sep_up,
-                        den: eb.sep_old,
-                        dst: eb.ratio_up,
-                    },
-                    weight: sep_len,
-                    phase: Phase::Collect,
-                    clique: c,
-                    plan: None,
-                },
-                [marg],
-                &mut preds,
-            );
-
-            let ext = g.push_task(
-                Task {
-                    kind: TaskKind::Extend {
-                        src: eb.ratio_up,
-                        dst: eb.ext_up,
+                    kind: TaskKind::Multiply {
+                        src: eb.sep_up,
+                        dst: g.clique_buffers[p.index()],
                     },
                     weight: parent_dom.size() as u64,
                     phase: Phase::Collect,
                     clique: p,
                     plan: Some(ep.down),
                 },
-                [div],
-                &mut preds,
-            );
-
-            // serialize with the previous multiply into the parent
-            let mul = g.push_task(
-                Task {
-                    kind: TaskKind::Multiply {
-                        src: eb.ext_up,
-                        dst: g.clique_buffers[p.index()],
-                    },
-                    weight: parent_dom.size() as u64,
-                    phase: Phase::Collect,
-                    clique: p,
-                    plan: Some(g.clique_plans[p.index()].own),
-                },
-                [ext].into_iter().chain(mul_up_chain[p.index()]),
+                [marg].into_iter().chain(mul_up_chain[p.index()]),
                 &mut preds,
             );
             mul_up_chain[p.index()] = Some(mul);
@@ -517,13 +488,13 @@ mod tests {
 
     #[test]
     fn plans_are_structurally_shared() {
-        // 8 tasks per edge, 6 of them planful (2 divides are not), but
-        // the collect marg / distribute ext of an edge share a plan, as
-        // do the collect ext / distribute marg — so a path graph
-        // interns 3-4 distinct plans per edge, not 6.
+        // Every task but the distribute divide is planful, but the
+        // collect marg / distribute ext of an edge share a plan, as do
+        // the collect multiply / distribute marg — so a path graph
+        // interns 3 distinct plans per clique pair, not 5 per edge.
         let g = TaskGraph::from_shape(&path(3));
         let planful = g.tasks().iter().filter(|t| t.plan.is_some()).count();
-        assert_eq!(planful, 12);
+        assert_eq!(planful, (MESSAGE_TASKS_PER_EDGE - 1) * 2);
         assert!(
             g.plans().len() < planful,
             "interning should dedup: {} plans for {} planful tasks",
@@ -565,18 +536,27 @@ mod tests {
     #[test]
     fn buffer_inits_are_sane() {
         let g = TaskGraph::from_shape(&path(3));
-        let n_ones = g
-            .buffers()
-            .iter()
-            .filter(|b| b.init == BufferInit::Ones)
-            .count();
-        assert_eq!(n_ones, 2); // one sep_old per edge
         let n_clique = g
             .buffers()
             .iter()
             .filter(|b| matches!(b.init, BufferInit::CliquePotential(_)))
             .count();
         assert_eq!(n_clique, 3);
+        // sep_up and the three distribute buffers of each edge
+        let n_scratch = g
+            .buffers()
+            .iter()
+            .filter(|b| b.init == BufferInit::Scratch)
+            .count();
+        assert_eq!(n_scratch, 4 * 2);
+        // one stash per edge
+        let n_stash = g
+            .buffers()
+            .iter()
+            .filter(|b| b.init == BufferInit::SliceScratch)
+            .count();
+        assert_eq!(n_stash, 2);
+        assert_eq!(g.buffers().len(), n_clique + n_scratch + n_stash);
     }
 }
 
@@ -602,10 +582,13 @@ mod collect_only_tests {
 
     #[test]
     fn collect_only_has_half_the_tasks() {
+        // The collect half of the messages: 2 of the
+        // MESSAGE_TASKS_PER_EDGE tasks of every edge.
         let shape = chain_shape(6);
         let full = TaskGraph::from_shape(&shape);
         let half = TaskGraph::collect_only(&shape, PropagationMode::SumProduct);
-        assert_eq!(half.num_tasks() * 2, full.num_tasks());
+        assert_eq!(full.num_tasks(), MESSAGE_TASKS_PER_EDGE * 5);
+        assert_eq!(half.num_tasks(), 2 * 5);
         half.validate().unwrap();
         assert!(half.buffers().len() < full.buffers().len());
         // every task is a collect-phase task

@@ -43,7 +43,8 @@ pub fn write_and_read<'a>(
 /// * `Divide` copies the numerator into the destination, then divides by
 ///   the denominator elementwise (`0/0 = 0`).
 /// * `Extend` overwrites the destination with the replicated source.
-/// * `Multiply` multiplies the destination by the source elementwise.
+/// * `Multiply` multiplies the destination by the source projected onto
+///   each destination entry (a separator or an extended ratio).
 ///
 /// # Panics
 ///
@@ -76,7 +77,7 @@ pub fn execute_full(kind: &TaskKind, arena: &mut [PotentialTable]) {
         TaskKind::Multiply { src, dst } => {
             let (d, s) = write_and_read(arena, dst.index(), &[src.index()]);
             d.multiply_assign(s[0])
-                .expect("extended ratio matches clique domain");
+                .expect("message domain nests in clique domain");
         }
     }
 }
@@ -110,7 +111,7 @@ pub fn execute_range(kind: &TaskKind, range: EntryRange, arena: &mut [PotentialT
         TaskKind::Multiply { src, dst } => {
             let (d, s) = write_and_read(arena, dst.index(), &[src.index()]);
             d.multiply_assign_range(range, s[0])
-                .expect("extended ratio matches clique domain");
+                .expect("message domain nests in clique domain");
         }
     }
 }

@@ -52,15 +52,17 @@ pub enum BufferInit {
     /// Copy the junction tree's initial potential of this clique (then
     /// absorb evidence into it).
     CliquePotential(CliqueId),
-    /// Fill with ones (separators, ψ_S ≡ 1 initially).
-    Ones,
     /// Scratch (marginalization targets, ratios, extended ratios):
-    /// contents unspecified until a task writes them; `initialize`
-    /// zero-fills, `reset` leaves them. Every graph `build` emits
-    /// writes each scratch buffer over its full length before any task
-    /// reads it; an incremental slice may read one a previous full job
-    /// or slice left behind.
+    /// contents unspecified until a task writes
+    /// them; `initialize` zero-fills, `reset` leaves them. Every graph
+    /// `build` emits writes each scratch buffer over its full length
+    /// before any task reads it; an incremental slice may read one a
+    /// previous full job or slice left behind.
     Scratch,
+    /// Scratch no built graph touches: an incremental slice's stale
+    /// edge writes it before it reads it (the edge's `stash`).
+    /// `initialize` zero-fills, `reset` leaves it.
+    SliceScratch,
 }
 
 /// Size and initialization of one buffer.
@@ -78,15 +80,14 @@ pub struct BufferSpec {
 /// the full graph uses.
 #[derive(Clone, Copy, Debug)]
 pub struct EdgeBuffers {
-    /// ψ_S — the original separator (initialized to ones; never written
-    /// by the full graph, reused as stale-edge scratch by slices).
-    pub sep_old: BufferId,
-    /// ψ*_S — collect-phase marginal of the child clique.
+    /// ψ*_S — the collect message: the child clique's marginal, which
+    /// the parent multiplies in through the (parent, separator) plan.
+    /// A session's clean child keeps it as its cached message.
     pub sep_up: BufferId,
-    /// ψ*_S / ψ_S — collect-phase ratio.
-    pub ratio_up: BufferId,
-    /// The collect ratio extended over the parent clique's domain.
-    pub ext_up: BufferId,
+    /// Separator-sized scratch a stale slice edge stashes the parent's
+    /// new marginal in (written before it is read; unused by built
+    /// graphs).
+    pub stash: BufferId,
     /// Distribute-phase buffers; absent in collect-only graphs.
     pub down: Option<DownBuffers>,
 }
@@ -108,7 +109,7 @@ pub struct DownBuffers {
 /// everything after copies ids.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct CliquePlans {
-    /// (C, C): every multiplication into `C`.
+    /// (C, C): every distribute multiplication into `C`.
     pub(crate) own: PlanId,
     /// The plans of the edge to `P`; `None` for the root.
     pub(crate) edge: Option<EdgePlans>,
@@ -121,7 +122,7 @@ pub(crate) struct EdgePlans {
     /// (C, S): the collect marginalization out of `C` and the
     /// distribute extension into it.
     pub(crate) up: PlanId,
-    /// (P, S): the collect extension into `P` and the distribute
+    /// (P, S): the collect multiplication into `P` and the distribute
     /// marginalization out of it.
     pub(crate) down: PlanId,
 }
@@ -166,9 +167,9 @@ pub enum TaskKind {
     },
     /// `dst = num / den` elementwise with `0/0 = 0` (identical domains).
     Divide {
-        /// Updated separator ψ*_S.
+        /// The separator's new marginal (ψ**_S).
         num: BufferId,
-        /// Original separator ψ_S.
+        /// The marginal it replaces (ψ*_S).
         den: BufferId,
         /// Ratio output.
         dst: BufferId,
@@ -181,10 +182,12 @@ pub enum TaskKind {
         /// Clique-sized destination.
         dst: BufferId,
     },
-    /// `dst[i] *= src[i]` elementwise (identical domains — `src` is the
-    /// extended ratio).
+    /// `dst[i] *= src[project(i)]` (`src`'s domain ⊆ `dst`'s): the
+    /// collect message multiplies a separator straight into the parent
+    /// clique, the distribute message its extended ratio (identical
+    /// domains) into the child.
     Multiply {
-        /// Extended-ratio source.
+        /// Separator or extended-ratio source.
         src: BufferId,
         /// Clique potential destination.
         dst: BufferId,

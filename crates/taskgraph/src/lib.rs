@@ -9,8 +9,12 @@
 //!    collect (each clique depends on its children) and distribute (each
 //!    clique depends on its parent);
 //! 2. each clique update expands into a **local task dependency graph**
-//!    (Fig. 2b/c): `Marginalize → Divide → Extend → Multiply` along every
-//!    edge, with multiplications into the same clique serialized.
+//!    (Fig. 2b/c): a distribute message is `Marginalize → Divide →
+//!    Extend → Multiply`; a collect message is `Marginalize → Multiply`,
+//!    the same chain without its no-op steps (its divide is by an
+//!    all-ones separator, and its extension fuses into the multiply
+//!    through the edge's index map). Multiplications into the same
+//!    clique are serialized.
 //!
 //! Tasks read and write *buffers* (clique potentials, separators, ratio
 //! and extension scratch); the graph carries [`BufferSpec`]s so any
@@ -22,11 +26,11 @@
 //! ```
 //! use evprop_bayesnet::networks;
 //! use evprop_jtree::JunctionTree;
-//! use evprop_taskgraph::TaskGraph;
+//! use evprop_taskgraph::{TaskGraph, MESSAGE_TASKS_PER_EDGE};
 //!
 //! let jt = JunctionTree::from_network(&networks::asia()).unwrap();
 //! let g = TaskGraph::from_shape(jt.shape());
-//! assert_eq!(g.num_tasks(), 8 * (jt.num_cliques() - 1));
+//! assert_eq!(g.num_tasks(), MESSAGE_TASKS_PER_EDGE * (jt.num_cliques() - 1));
 //! g.validate().unwrap();
 //! ```
 

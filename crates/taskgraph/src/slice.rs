@@ -2,14 +2,13 @@
 //! that an incremental evidence update actually needs to re-run.
 //!
 //! After a full two-phase propagation, the table arena holds every
-//! clique belief, every collect separator `ψ*_S` (`sep_up`), every
-//! extended collect message (`ext_up`), and every distribute separator
-//! `ψ**_S` (`sep_down`). A later query under slightly different
-//! evidence can reuse most of that state:
+//! clique belief, every collect message `ψ*_S` (`sep_up`) and every
+//! distribute separator `ψ**_S` (`sep_down`). A later query under
+//! slightly different evidence can reuse most of that state:
 //!
 //! * a child's collect message depends only on the evidence inside its
 //!   subtree, so messages from *clean* subtrees are still valid and are
-//!   re-multiplied from their cached `ext_up` buffers without
+//!   re-multiplied from their cached `sep_up` buffers without
 //!   recomputation;
 //! * a clique whose belief is calibrated under older evidence can be
 //!   updated Hugin-style by multiplying in the *ratio* of the new to
@@ -177,10 +176,11 @@ impl TaskGraph {
     /// graph; its tasks carry this graph's interned plan ids.
     ///
     /// The collect part walks `plan.recollect` in postorder: for each
-    /// flagged clique, dirty children's messages are recomputed
-    /// (marginalize → extend, without the divide — see the comment at
-    /// that step) and every child's `ext_up` — cached or fresh — is
-    /// multiplied back in, in children order. The distribute part walks
+    /// flagged clique, dirty children's messages are recomputed (their
+    /// `Marginalize` into `sep_up`) and every child's `sep_up` — cached
+    /// or fresh — is multiplied back in through the edge's (parent,
+    /// separator) plan, in children order — the full graph's collect
+    /// chain. The distribute part walks
     /// `plan.path` from the root outward, emitting the standard chain
     /// for [`EdgeUpdate::Fresh`] edges and the division-against-stored-
     /// `sep_down` chain for [`EdgeUpdate::Stale`] edges.
@@ -268,13 +268,7 @@ impl TaskGraph {
             for &ch in shape.children(c) {
                 let (eb, ep) = self.edge(ch);
                 if plan.recollect[ch.index()] {
-                    // Dirty child: recompute its message. The full graph
-                    // divides sep_up by sep_old, which holds ones there,
-                    // so its ratio is sep_up itself. In a resident arena
-                    // sep_old may instead hold the μ_new a Stale edge
-                    // stashed in it (below), so this path skips the
-                    // divide and never reads sep_old: extending sep_up
-                    // directly yields the full graph's ext_up.
+                    // Dirty child: recompute its message.
                     hz.emit(
                         g,
                         Task {
@@ -289,19 +283,6 @@ impl TaskGraph {
                             plan: Some(ep.up),
                         },
                     );
-                    hz.emit(
-                        g,
-                        Task {
-                            kind: TaskKind::Extend {
-                                src: eb.sep_up,
-                                dst: eb.ext_up,
-                            },
-                            weight: parent_len,
-                            phase: Phase::Collect,
-                            clique: c,
-                            plan: Some(ep.down),
-                        },
-                    );
                 }
                 // Every child's message — cached or fresh — multiplies
                 // back into the re-initialized parent, in children
@@ -310,13 +291,13 @@ impl TaskGraph {
                     g,
                     Task {
                         kind: TaskKind::Multiply {
-                            src: eb.ext_up,
+                            src: eb.sep_up,
                             dst: self.clique_buffers[c.index()],
                         },
                         weight: parent_len,
                         phase: Phase::Collect,
                         clique: c,
-                        plan: Some(self.clique_plans[c.index()].own),
+                        plan: Some(ep.down),
                     },
                 );
             }
@@ -362,15 +343,14 @@ impl TaskGraph {
                     hz.emit(g, div(down.sep_down, eb.sep_up));
                 }
                 EdgeUpdate::Stale => {
-                    // Division update: stash μ_new in sep_old (unused
-                    // scratch in slices), ratio it against the *stored*
-                    // μ_old in sep_down, then persist μ_new into
-                    // sep_down (ordered after the divide's read by the
-                    // hazard tracker) so the invariant "sep_down is the
-                    // separator marginal of the child's belief" holds
-                    // at the child's new epoch.
-                    hz.emit(g, marg(eb.sep_old));
-                    hz.emit(g, div(eb.sep_old, down.sep_down));
+                    // Division update: stash μ_new, ratio it against
+                    // the *stored* μ_old in sep_down, then persist
+                    // μ_new into sep_down (ordered after the divide's
+                    // read by the hazard tracker) so the invariant
+                    // "sep_down is the separator marginal of the
+                    // child's belief" holds at the child's new epoch.
+                    hz.emit(g, marg(eb.stash));
+                    hz.emit(g, div(eb.stash, down.sep_down));
                     hz.emit(g, marg(down.sep_down));
                 }
                 EdgeUpdate::Skip => unreachable!(),
@@ -460,7 +440,7 @@ mod tests {
         let shape = path4();
         let full = TaskGraph::from_shape(&shape);
         // only the root re-collects: its single child C1 is clean, so
-        // the slice is one multiply from the cached ext_up
+        // the slice is one multiply from the cached sep_up
         let plan = SlicePlan {
             recollect: vec![true, false, false, false],
             path: vec![],

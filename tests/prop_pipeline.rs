@@ -4,9 +4,11 @@
 
 use evprop::bayesnet::{random_network, JointDistribution, RandomNetworkConfig};
 use evprop::core::{CollaborativeEngine, Engine, InferenceSession, SequentialEngine};
+use evprop::jtree::{CliqueId, JunctionTree};
+use evprop::potential::{Domain, EntryRange, PotentialTable};
 use evprop::potential::{EvidenceSet, VarId};
 use evprop::sched::SchedulerConfig;
-use evprop::taskgraph::{BufferInit, PropagationMode, TaskGraph};
+use evprop::taskgraph::{BufferInit, PropagationMode, TaskGraph, MESSAGE_TASKS_PER_EDGE};
 use evprop::workloads::{materialize, random_tree, TreeParams};
 use proptest::prelude::*;
 
@@ -33,6 +35,70 @@ fn scratch_is_written_before_read(g: &TaskGraph) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// `src` marginalized onto `dom` the way the scheduler runs a
+/// `Marginalize` task at grain `delta`: unsplit, or the last part into
+/// the zeroed destination and every other part's private partial folded
+/// onto it in part order.
+fn marginal(src: &PotentialTable, dom: &Domain, max: bool, delta: Option<usize>) -> PotentialTable {
+    let ranges = match delta {
+        Some(d) if src.len() > d => EntryRange::split(src.len(), d),
+        _ => vec![EntryRange::full(src.len())],
+    };
+    let part = |r: EntryRange| {
+        let mut t = PotentialTable::zeros(dom.clone());
+        if max {
+            src.max_marginalize_range_into(r, &mut t).unwrap();
+        } else {
+            src.marginalize_range_into(r, &mut t).unwrap();
+        }
+        t
+    };
+    let (&last, rest) = ranges.split_last().expect("a table has entries");
+    let mut out = part(last);
+    for &r in rest {
+        if max {
+            out.max_assign(&part(r)).unwrap();
+        } else {
+            out.add_assign(&part(r)).unwrap();
+        }
+    }
+    out
+}
+
+/// Two-phase propagation through the paper's 8-task message chain
+/// (Fig. 2c) with `PotentialTable` primitives: every message is
+/// marginalize → divide by the separator it replaces (all ones on the
+/// way up) → extend → multiply, collect in postorder, distribute in
+/// preorder.
+fn eight_task_reference(jt: &JunctionTree, max: bool, delta: Option<usize>) -> Vec<PotentialTable> {
+    let shape = jt.shape();
+    let mut cliques = jt.potentials().to_vec();
+    let mut sep_up: Vec<Option<PotentialTable>> = vec![None; shape.num_cliques()];
+    for c in shape.postorder() {
+        let Some(p) = shape.parent(c) else { continue };
+        let sep = shape.parent_separator(c);
+        let up = marginal(&cliques[c.index()], sep, max, delta);
+        let mut ratio = up.clone();
+        ratio
+            .divide_assign(&PotentialTable::ones(sep.clone()))
+            .unwrap();
+        let ext = ratio.extend(shape.domain(p)).unwrap();
+        cliques[p.index()].multiply_assign(&ext).unwrap();
+        sep_up[c.index()] = Some(up);
+    }
+    for &c in shape.preorder() {
+        let Some(p) = shape.parent(c) else { continue };
+        let sep = shape.parent_separator(c);
+        let mut ratio = marginal(&cliques[p.index()], sep, max, delta);
+        ratio
+            .divide_assign(sep_up[c.index()].as_ref().expect("collected"))
+            .unwrap();
+        let ext = ratio.extend(shape.domain(c)).unwrap();
+        cliques[c.index()].multiply_assign(&ext).unwrap();
+    }
+    cliques
 }
 
 proptest! {
@@ -109,7 +175,7 @@ proptest! {
     ) {
         let shape = random_tree(&TreeParams::new(n, w, 2, k).with_seed(seed));
         let g = TaskGraph::from_shape(&shape);
-        prop_assert_eq!(g.num_tasks(), 8 * (n - 1));
+        prop_assert_eq!(g.num_tasks(), MESSAGE_TASKS_PER_EDGE * (n - 1));
         g.validate().expect("valid graph");
         prop_assert!(g.critical_path_weight() <= g.total_weight());
         // every task is reachable: topological order covers all
@@ -136,6 +202,41 @@ proptest! {
             for graph in [g.replicate(copies), g] {
                 let checked = scratch_is_written_before_read(&graph);
                 prop_assert!(checked.is_ok(), "{:?}", checked);
+            }
+        }
+    }
+
+    /// The built graph runs each collect message as `Marginalize →
+    /// Multiply` through the (parent, separator) plan; it must calibrate
+    /// every clique to the bits of the paper's 8-task chain, in both
+    /// algebras, at every thread count and grain.
+    #[test]
+    fn six_task_chain_matches_the_papers_eight_task_chain(
+        seed in 0u64..5000,
+        n in 2usize..24,
+        w in 2usize..7,
+        k in 1usize..5,
+        max in proptest::bool::ANY,
+    ) {
+        let shape = random_tree(&TreeParams::new(n, w, 2, k).with_seed(seed));
+        let jt = materialize(&shape, seed);
+        let mode = if max { PropagationMode::MaxProduct } else { PropagationMode::SumProduct };
+        let graph = TaskGraph::from_shape_mode(&shape, mode);
+        for delta in [None, Some(1), Some(64)] {
+            let want = eight_task_reference(&jt, max, delta);
+            for threads in [1, 2] {
+                let mut cfg = SchedulerConfig::with_threads(threads);
+                cfg.partition_threshold = delta;
+                let got = CollaborativeEngine::new(cfg)
+                    .propagate_graph(&jt, &graph, &EvidenceSet::new())
+                    .expect("collaborative");
+                for c in (0..n).map(CliqueId) {
+                    let bits = |t: &PotentialTable| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(
+                        bits(got.clique(c)), bits(&want[c.index()]),
+                        "clique {:?} threads {} δ {:?}", c, threads, delta
+                    );
+                }
             }
         }
     }

@@ -10,7 +10,7 @@
 //! exact equality of `f64::to_bits`.
 
 use evprop::core::{CollaborativeEngine, Engine, SequentialEngine};
-use evprop::potential::plan::{KernelPlan, PlanKind, Segment};
+use evprop::potential::plan::{KernelPlan, PartialBlock, PlanKind};
 use evprop::potential::{raw, AxisWalker, Domain, EntryRange, EvidenceSet, VarId, Variable};
 use evprop::sched::SchedulerConfig;
 use evprop::taskgraph::TaskGraph;
@@ -24,36 +24,45 @@ use rand::{Rng, SeedableRng};
 const DELTAS: [usize; 4] = [1, 3, 64, 4096];
 const THREADS: [usize; 3] = [1, 2, 4];
 
+/// The block lengths the kernels run as compile-time constants; every
+/// other length takes the runtime-length body.
+const FIXED_BLOCKS: [usize; 5] = [1, 2, 4, 8, 16];
+
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// A random (scan, target ⊆ scan) pair: up to six axes of one to three
-/// states — cardinality-1 axes included, in any position — with
-/// non-consecutive ids, and a random subset of them as the target.
+/// A random (scan, target ⊆ scan) pair: up to seven axes of 1, 2, 3 or
+/// 5 states — binary axes most often, so that uniform suffixes of 2,
+/// 4, 8 and 16 entries come up; cardinality-1 axes in any position —
+/// with non-consecutive ids, a random subset of them as the target, and
+/// at most 512 entries.
 fn random_domains(rng: &mut StdRng) -> (Domain, Domain) {
-    let width = rng.gen_range(0..7usize);
-    let vars: Vec<Variable> = (0..width)
-        .map(|i| {
-            Variable::new(
-                VarId(3 * i as u32 + rng.gen_range(0..3u32)),
-                rng.gen_range(1..4usize),
-            )
-        })
-        .collect();
-    let keep: Vec<VarId> = vars
-        .iter()
-        .filter(|_| rng.gen_bool(0.5))
-        .map(|v| v.id())
-        .collect();
-    let scan = Domain::new(vars).expect("distinct ids");
-    let target = scan.project(&keep);
-    (scan, target)
+    loop {
+        let width = rng.gen_range(0..8usize);
+        let vars: Vec<Variable> = (0..width)
+            .map(|i| {
+                let card = [1, 2, 2, 2, 2, 3, 5][rng.gen_range(0..7usize)];
+                Variable::new(VarId(3 * i as u32 + rng.gen_range(0..3u32)), card)
+            })
+            .collect();
+        let keep: Vec<VarId> = vars
+            .iter()
+            .filter(|_| rng.gen_bool(0.5))
+            .map(|v| v.id())
+            .collect();
+        let scan = Domain::new(vars).expect("distinct ids");
+        if scan.size() <= 512 {
+            let target = scan.project(&keep);
+            return (scan, target);
+        }
+    }
 }
 
 /// Ranges over a table of `len` entries: the empty ranges at both ends
-/// and inside, one entry, the whole table, and random cuts (which land
-/// mid-block whenever blocks are longer than one entry).
+/// and inside, one entry, the whole table, random cuts (which land
+/// mid-block whenever blocks are longer than one entry), and every part
+/// of the δ-splits the scheduler makes at δ ∈ {1, 3, 7, 64}.
 fn ranges_of(len: usize, rng: &mut StdRng) -> Vec<EntryRange> {
     let mut out = vec![
         EntryRange { start: 0, end: 0 },
@@ -76,14 +85,25 @@ fn ranges_of(len: usize, rng: &mut StdRng) -> Vec<EntryRange> {
             end: one + 1,
         });
     }
+    for delta in [1, 3, 7, 64] {
+        out.extend(EntryRange::split(len, delta));
+    }
     out
 }
 
-/// The canonical segment list the slow way — the reference for
+/// A plan's block stream: kind, block length, head, bases, tail.
+type Stream = (
+    PlanKind,
+    usize,
+    Option<PartialBlock>,
+    Vec<u32>,
+    Option<PartialBlock>,
+);
+
+/// The canonical block stream the slow way — the reference for
 /// `KernelPlan::compile`: the uniform-suffix block rule applied from
-/// scratch, an `AxisWalker` sought afresh at every block, contiguous
-/// runs fused across block boundaries.
-fn per_block_seek(scan: &Domain, target: &Domain, range: EntryRange) -> (PlanKind, Vec<Segment>) {
+/// scratch and an `AxisWalker` sought afresh at every block.
+fn per_block_seek(scan: &Domain, target: &Domain, range: EntryRange) -> Stream {
     let tstrides = scan.strides_in(target);
     let width = scan.width();
     let last_present = width > 0 && tstrides[width - 1] != 0;
@@ -98,78 +118,133 @@ fn per_block_seek(scan: &Domain, target: &Domain, range: EntryRange) -> (PlanKin
         .map(|p| scan.vars()[p].cardinality())
         .product();
     let mut walker = AxisWalker::new(scan, tstrides);
-    let mut segs: Vec<Segment> = Vec::new();
+    let (mut head, mut bases, mut tail) = (None, Vec::new(), None);
     let mut pos = range.start;
     while pos < range.end {
         let len = (pos - pos % block + block).min(range.end) - pos;
         walker.seek(scan, pos);
         let base = walker.target_index();
-        match segs.last_mut() {
-            Some(prev) if kind == PlanKind::Contig && prev.target_base + prev.len == base => {
-                prev.len += len;
-            }
-            _ => segs.push(Segment {
-                target_base: base,
-                len,
-            }),
+        if !pos.is_multiple_of(block) {
+            head = Some(PartialBlock { base, len });
+        } else if len == block {
+            bases.push(base as u32);
+        } else {
+            tail = Some(PartialBlock { base, len });
         }
         pos += len;
     }
-    (kind, segs)
+    (kind, block, head, bases, tail)
+}
+
+/// Checks one (scan, target) pair over every range of [`ranges_of`]:
+/// `KernelPlan::compile` yields the reference block stream, and the
+/// plan's kernels and the streamed `*_raw` entry points each compute
+/// the bits of their `*_walker` oracle — sum and max marginalization,
+/// extension and multiplication. Returns the pair's block length.
+fn check_pair(scan: &Domain, target: &Domain, rng: &mut StdRng) -> usize {
+    let scan_data: Vec<f64> = (0..scan.size()).map(|_| rng.gen_range(0.01..1.0)).collect();
+    let target_data: Vec<f64> = (0..target.size())
+        .map(|_| rng.gen_range(0.01..1.0))
+        .collect();
+    let mut block = 0;
+    for r in ranges_of(scan.size(), rng) {
+        let case = format!("scan {scan:?} target {target:?} range {r:?}");
+        let plan = KernelPlan::compile(scan, target, r).expect("in bounds");
+        let stream = (
+            plan.kind(),
+            plan.block(),
+            plan.head(),
+            plan.bases().to_vec(),
+            plan.tail(),
+        );
+        prop_assert_eq!(stream, per_block_seek(scan, target, r), "{}", &case);
+        block = plan.block();
+
+        let start: Vec<f64> = (0..target.size())
+            .map(|_| rng.gen_range(0.0..1.0))
+            .collect();
+        for max in [false, true] {
+            let mut walk = start.clone();
+            let mut streamed = start.clone();
+            let mut planned = start.clone();
+            if max {
+                raw::max_marginalize_range_into_walker(scan, &scan_data, r, target, &mut walk)
+                    .unwrap();
+                raw::max_marginalize_range_into_raw(scan, &scan_data, r, target, &mut streamed)
+                    .unwrap();
+                plan.marginalize_max_into(&scan_data, &mut planned).unwrap();
+            } else {
+                raw::marginalize_range_into_walker(scan, &scan_data, r, target, &mut walk).unwrap();
+                raw::marginalize_range_into_raw(scan, &scan_data, r, target, &mut streamed)
+                    .unwrap();
+                plan.marginalize_sum_into(&scan_data, &mut planned).unwrap();
+            }
+            prop_assert_eq!(
+                bits(&streamed),
+                bits(&walk),
+                "max {} streamed {}",
+                max,
+                &case
+            );
+            prop_assert_eq!(bits(&planned), bits(&walk), "max {} planned {}", max, &case);
+        }
+
+        let window = &scan_data[r.start..r.end];
+        let mut walk = window.to_vec();
+        let mut streamed = window.to_vec();
+        let mut planned = window.to_vec();
+        raw::extend_range_into_walker(target, &target_data, scan, r, &mut walk).unwrap();
+        raw::extend_range_into_raw(target, &target_data, scan, r, &mut streamed).unwrap();
+        plan.extend_into(&target_data, &mut planned).unwrap();
+        prop_assert_eq!(bits(&streamed), bits(&walk), "extend streamed {}", &case);
+        prop_assert_eq!(bits(&planned), bits(&walk), "extend planned {}", &case);
+
+        let mut walk = window.to_vec();
+        let mut streamed = window.to_vec();
+        let mut planned = window.to_vec();
+        raw::multiply_range_into_walker(target, &target_data, scan, r, &mut walk).unwrap();
+        raw::multiply_range_into_raw(target, &target_data, scan, r, &mut streamed).unwrap();
+        plan.multiply_into(&target_data, &mut planned).unwrap();
+        prop_assert_eq!(bits(&streamed), bits(&walk), "multiply streamed {}", &case);
+        prop_assert_eq!(bits(&planned), bits(&walk), "multiply planned {}", &case);
+    }
+    block
+}
+
+/// The generator reaches every block length the kernels run as a
+/// constant and the runtime-length body, and every one of them matches
+/// its oracle.
+#[test]
+fn every_block_length_dispatch_is_exercised() {
+    let mut rng = StdRng::seed_from_u64(0xB10C);
+    let (mut fixed, mut runtime) = ([false; FIXED_BLOCKS.len()], false);
+    for _ in 0..3000 {
+        let (scan, target) = random_domains(&mut rng);
+        let block = check_pair(&scan, &target, &mut rng);
+        match FIXED_BLOCKS.iter().position(|&b| b == block) {
+            Some(i) => fixed[i] = true,
+            None => runtime = true,
+        }
+        if runtime && fixed.iter().all(|&f| f) {
+            return;
+        }
+    }
+    panic!("blocks seen: constant lengths {FIXED_BLOCKS:?} -> {fixed:?}, runtime {runtime}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The block walk, collected and streamed, on random domains and
-    /// ranges: `KernelPlan::compile` yields the reference segments, and
-    /// each streamed `*_raw` entry point computes the bits of its
-    /// `*_walker` oracle.
+    /// ranges: `KernelPlan::compile` yields the reference head, bases
+    /// and tail, and the plans and the streamed `*_raw` entry points
+    /// compute the bits of their `*_walker` oracles.
     #[test]
     fn block_walk_matches_per_block_seek_and_walkers(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..16 {
             let (scan, target) = random_domains(&mut rng);
-            let scan_data: Vec<f64> =
-                (0..scan.size()).map(|_| rng.gen_range(0.01..1.0)).collect();
-            let target_data: Vec<f64> =
-                (0..target.size()).map(|_| rng.gen_range(0.01..1.0)).collect();
-            for r in ranges_of(scan.size(), &mut rng) {
-                let case = format!("scan {scan:?} target {target:?} range {r:?}");
-                let plan = KernelPlan::compile(&scan, &target, r).expect("in bounds");
-                let (kind, segs) = per_block_seek(&scan, &target, r);
-                prop_assert_eq!(plan.kind(), kind, "{}", &case);
-                prop_assert_eq!(plan.segments(), &segs[..], "{}", &case);
-
-                let start: Vec<f64> =
-                    (0..target.size()).map(|_| rng.gen_range(0.0..1.0)).collect();
-                let (mut raw_sum, mut walk_sum) = (start.clone(), start.clone());
-                raw::marginalize_range_into_raw(&scan, &scan_data, r, &target, &mut raw_sum)
-                    .unwrap();
-                raw::marginalize_range_into_walker(&scan, &scan_data, r, &target, &mut walk_sum)
-                    .unwrap();
-                prop_assert_eq!(bits(&raw_sum), bits(&walk_sum), "sum {}", &case);
-                let (mut raw_max, mut walk_max) = (start.clone(), start);
-                raw::max_marginalize_range_into_raw(&scan, &scan_data, r, &target, &mut raw_max)
-                    .unwrap();
-                raw::max_marginalize_range_into_walker(
-                    &scan, &scan_data, r, &target, &mut walk_max).unwrap();
-                prop_assert_eq!(bits(&raw_max), bits(&walk_max), "max {}", &case);
-
-                let window = &scan_data[r.start..r.end];
-                let (mut raw_ext, mut walk_ext) = (window.to_vec(), window.to_vec());
-                raw::extend_range_into_raw(&target, &target_data, &scan, r, &mut raw_ext)
-                    .unwrap();
-                raw::extend_range_into_walker(&target, &target_data, &scan, r, &mut walk_ext)
-                    .unwrap();
-                prop_assert_eq!(bits(&raw_ext), bits(&walk_ext), "extend {}", &case);
-                let (mut raw_mul, mut walk_mul) = (window.to_vec(), window.to_vec());
-                raw::multiply_range_into_raw(&target, &target_data, &scan, r, &mut raw_mul)
-                    .unwrap();
-                raw::multiply_range_into_walker(&target, &target_data, &scan, r, &mut walk_mul)
-                    .unwrap();
-                prop_assert_eq!(bits(&raw_mul), bits(&walk_mul), "multiply {}", &case);
-            }
+            check_pair(&scan, &target, &mut rng);
         }
     }
 
