@@ -33,10 +33,7 @@ impl Calibrated {
     }
 
     /// The probability of the absorbed evidence, `P(e)` — the total mass
-    /// of the root clique. After full calibration every clique agrees;
-    /// after a collect-only run ([`evprop_taskgraph::TaskGraph::collect_only`])
-    /// the root is the *only* calibrated clique, so reading it keeps this
-    /// correct in both modes.
+    /// of the root clique. After full calibration every clique agrees.
     pub fn probability_of_evidence(&self) -> f64 {
         self.cliques
             .get(self.shape.root().index())

@@ -5,7 +5,7 @@ use evprop_bayesnet::BayesianNetwork;
 use evprop_jtree::{JunctionTree, RootChoice};
 use evprop_potential::{EvidenceSet, PotentialTable, VarId};
 use evprop_sched::SchedulerConfig;
-use evprop_taskgraph::{PropagationMode, TaskGraph};
+use evprop_taskgraph::TaskGraph;
 use std::sync::{Arc, OnceLock};
 
 /// One serving query: the variable whose posterior is wanted, under
@@ -176,34 +176,6 @@ impl InferenceSession {
         self.pooled_engine()
             .posterior_batch(self.junction_tree(), self.task_graph(), batch)
     }
-
-    /// Posterior marginal via **collect-only propagation**: the tree is
-    /// re-rooted at a clique covering `var` and only the collect phase
-    /// runs — half the propagation work of [`InferenceSession::posterior`],
-    /// at the cost of building a one-shot task graph. Worth it when a
-    /// single marginal is needed from a large tree; for many queries over
-    /// the same evidence, full calibration amortizes better.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::EngineError::VariableNotInTree`] if no clique covers
-    /// `var`; [`crate::EngineError::ImpossibleEvidence`] if `P(e) = 0`.
-    pub fn posterior_collect_only(
-        &self,
-        engine: &dyn Engine,
-        var: VarId,
-        evidence: &EvidenceSet,
-    ) -> Result<PotentialTable> {
-        let mut shape = self.junction_tree().shape().clone();
-        let target = crate::covering_clique(&shape, &[var])?;
-        shape
-            .reroot(target)
-            .expect("covering_clique returns in-range ids");
-        let graph = TaskGraph::collect_only(&shape, PropagationMode::SumProduct);
-        let calibrated = engine.propagate_graph(self.junction_tree(), &graph, evidence)?;
-        // only the target clique is calibrated; marginalize from it
-        crate::read_out(calibrated.clique(target), &[var])
-    }
 }
 
 #[cfg(test)]
@@ -274,51 +246,5 @@ mod tests {
             let b = session.posterior(&collab, VarId(2), &ev).unwrap();
             assert!(a.approx_eq(&b, 1e-9));
         }
-    }
-}
-
-#[cfg(test)]
-mod collect_only_tests {
-    use super::*;
-    use crate::{CollaborativeEngine, SequentialEngine};
-    use evprop_bayesnet::networks;
-
-    #[test]
-    fn collect_only_matches_full_posterior() {
-        let net = networks::asia();
-        let session = InferenceSession::from_network(&net).unwrap();
-        let mut ev = EvidenceSet::new();
-        ev.observe(VarId(7), 1);
-        ev.observe_likelihood(VarId(6), vec![0.4, 0.8]);
-        for v in 0..6u32 {
-            let full = session.posterior(&SequentialEngine, VarId(v), &ev).unwrap();
-            let fast = session
-                .posterior_collect_only(&SequentialEngine, VarId(v), &ev)
-                .unwrap();
-            assert!(full.approx_eq(&fast, 1e-9), "V{v}");
-            let fast_par = session
-                .posterior_collect_only(&CollaborativeEngine::with_threads(3), VarId(v), &ev)
-                .unwrap();
-            assert!(full.approx_eq(&fast_par, 1e-9), "V{v} parallel");
-        }
-    }
-
-    #[test]
-    fn collect_only_detects_impossible_evidence() {
-        let net = networks::asia();
-        let session = InferenceSession::from_network(&net).unwrap();
-        let mut ev = EvidenceSet::new();
-        ev.observe(VarId(3), 1);
-        ev.observe(VarId(5), 0); // contradiction
-        let r = session.posterior_collect_only(&SequentialEngine, VarId(4), &ev);
-        assert!(matches!(r, Err(crate::EngineError::ImpossibleEvidence)));
-    }
-
-    #[test]
-    fn collect_only_unknown_variable() {
-        let net = networks::sprinkler();
-        let session = InferenceSession::from_network(&net).unwrap();
-        let r = session.posterior_collect_only(&SequentialEngine, VarId(99), &EvidenceSet::new());
-        assert!(matches!(r, Err(crate::EngineError::VariableNotInTree(_))));
     }
 }

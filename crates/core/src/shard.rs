@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Arenas kept warm between queries. Jobs are serialized on the pool,
 /// so one arena per concurrently-used task graph (sum-product,
-/// max-product, the occasional collect-only graph) is plenty.
+/// max-product) is plenty.
 const MAX_CACHED_ARENAS: usize = 4;
 
 /// The proposed method (§6) as a resident engine: `P` worker threads

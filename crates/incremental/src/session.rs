@@ -488,8 +488,7 @@ impl IncrementalSession {
             .graph()
             .edge_buffers(c)
             .expect("non-root cliques have edge buffers")
-            .down
-            .expect("two-phase graphs have distribute buffers");
+            .down;
         let arena = self.arena.as_mut().expect("caller checked residency");
         arena.tables_mut()[down.sep_down.index()]
             .data()

@@ -54,10 +54,11 @@ pub enum PotentialError {
         /// Table length.
         len: usize,
     },
-    /// A kernel plan stores its target indices as `u32`, so its target
-    /// table must have fewer than `u32::MAX` entries.
+    /// A kernel plan stores its target indices and partial-block
+    /// lengths as `u32`, so the table it scans (and so its target) must
+    /// have fewer than `u32::MAX` entries.
     PlanTargetTooLarge {
-        /// Entries of the target table.
+        /// Entries of the scanned table.
         len: usize,
     },
 }
@@ -106,7 +107,7 @@ impl fmt::Display for PotentialError {
             }
             PotentialError::PlanTargetTooLarge { len } => write!(
                 f,
-                "a kernel plan addresses fewer than {} target entries, not {len}",
+                "a kernel plan scans fewer than {} entries, not {len}",
                 u32::MAX
             ),
         }

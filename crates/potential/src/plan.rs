@@ -28,9 +28,9 @@
 //!
 //! Either way the scan side decomposes into uniform blocks of one
 //! length, so a plan stores that length once and **one target base per
-//! whole block** (`bases`, as `u32`), plus a partial `head` block where
-//! the range starts mid-block and a partial `tail` where it ends
-//! mid-block. The interpreter runs the head, then the whole blocks —
+//! block** (`bases`, as `u32`): a partial `head` block where the range
+//! starts mid-block, the whole blocks, and a partial `tail` where it
+//! ends mid-block, with the two partial lengths beside them. The interpreter runs the head, then the whole blocks —
 //! `for i in 0..block { dst[base + i] op= src[pos + i] }`, or a
 //! `fill`/reduction for broadcast blocks — then the tail. Block lengths
 //! 1, 2, 4, 8 and 16 run as compile-time constants, so a short block is
@@ -112,9 +112,11 @@ pub struct KernelPlan {
     scan_len: usize,
     target_len: usize,
     block: usize,
-    head: Option<PartialBlock>,
+    /// The target base of the head block (when `head_len > 0`), of
+    /// every whole block, then of the tail block (when `tail_len > 0`).
     bases: Vec<u32>,
-    tail: Option<PartialBlock>,
+    head_len: u32,
+    tail_len: u32,
 }
 
 /// Computes the canonical block decomposition of `scan` relative to
@@ -341,24 +343,31 @@ impl KernelPlan {
     ///
     /// [`PotentialError::NotSubdomain`] if `target` ⊄ `scan`;
     /// [`PotentialError::BadRange`] if `range` exceeds `scan.size()`;
-    /// [`PotentialError::PlanTargetTooLarge`] if `target` has
+    /// [`PotentialError::PlanTargetTooLarge`] if `scan` has
     /// `u32::MAX` entries or more.
     pub fn compile(scan: &Domain, target: &Domain, range: EntryRange) -> Result<Self> {
         let walk = BlockWalk::new(scan, target, range)?;
-        // Every base is below the target's size, so this one check
-        // makes each narrowing below lossless.
-        if u32::try_from(target.size()).is_err() {
-            return Err(PotentialError::PlanTargetTooLarge { len: target.size() });
+        // Every base is below the target's size and every partial
+        // length below the scan's, which bounds the target's: this one
+        // check makes each narrowing below lossless.
+        if u32::try_from(scan.size()).is_err() {
+            return Err(PotentialError::PlanTargetTooLarge { len: scan.size() });
         }
+        let partial = |p: Option<PartialBlock>| p.map(|p| (p.base as u32, p.len as u32));
+        let (head, tail) = (partial(walk.head), partial(walk.tail));
+        let bases = (head.map(|(base, _)| base).into_iter())
+            .chain(walk.bases.map(|b| b as u32))
+            .chain(tail.map(|(base, _)| base))
+            .collect();
         Ok(Self {
             kind: walk.kind,
             range,
             scan_len: scan.size(),
             target_len: target.size(),
             block: walk.block,
-            head: walk.head,
-            bases: walk.bases.map(|b| b as u32).collect(),
-            tail: walk.tail,
+            bases,
+            head_len: head.map_or(0, |(_, len)| len),
+            tail_len: tail.map_or(0, |(_, len)| len),
         })
     }
 
@@ -379,17 +388,25 @@ impl KernelPlan {
 
     /// The partial block the range starts in, if it starts mid-block.
     pub fn head(&self) -> Option<PartialBlock> {
-        self.head
+        (self.head_len > 0).then(|| PartialBlock {
+            base: self.bases[0] as usize,
+            len: self.head_len as usize,
+        })
     }
 
     /// The target base of every whole block, in scan order.
     pub fn bases(&self) -> &[u32] {
-        &self.bases
+        let first = usize::from(self.head_len > 0);
+        let end = self.bases.len() - usize::from(self.tail_len > 0);
+        &self.bases[first..end]
     }
 
     /// The partial block the range ends in, if it ends mid-block.
     pub fn tail(&self) -> Option<PartialBlock> {
-        self.tail
+        (self.tail_len > 0).then(|| PartialBlock {
+            base: self.bases[self.bases.len() - 1] as usize,
+            len: self.tail_len as usize,
+        })
     }
 
     /// Inner-loop operation count: one op per scan entry in the range.
@@ -403,7 +420,8 @@ impl KernelPlan {
     }
 
     /// Memory footprint of this compiled program in bytes: the struct
-    /// itself plus its heap-allocated base list. Backs the model
+    /// itself plus its heap-allocated base list (whole and partial
+    /// blocks). Backs the model
     /// registry's resident-byte accounting.
     pub fn resident_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.bases.len() * std::mem::size_of::<u32>()
@@ -414,9 +432,9 @@ impl KernelPlan {
         Blocks {
             kind: self.kind,
             block: self.block,
-            head: self.head,
-            bases: self.bases.iter().map(|&b| b as usize),
-            tail: self.tail,
+            head: self.head(),
+            bases: self.bases().iter().map(|&b| b as usize),
+            tail: self.tail(),
         }
     }
 
@@ -438,8 +456,9 @@ impl KernelPlan {
         Ok(())
     }
 
-    /// Max-marginalization: like [`marginalize_sum_into`]
-    /// (Self::marginalize_sum_into) but folding with elementwise `max`.
+    /// Max-marginalization: like
+    /// [`marginalize_sum_into`](Self::marginalize_sum_into) but folding
+    /// with elementwise `max`.
     ///
     /// # Errors
     ///
@@ -499,8 +518,9 @@ pub(crate) fn check_len(expected: usize, found: usize) -> Result<()> {
 ///
 /// # Errors
 ///
-/// Same conditions as [`raw::divide_range_into`]
-/// (crate::raw::divide_range_into), which is its walker twin.
+/// Same conditions as
+/// [`raw::divide_range_into`](crate::raw::divide_range_into), which is
+/// its walker twin.
 pub fn divide_planned(num: &[f64], den: &[f64], range: EntryRange, out: &mut [f64]) -> Result<()> {
     if range.start > range.end || range.end > num.len() {
         return Err(PotentialError::BadRange {

@@ -100,7 +100,7 @@ fn check_subdomain(sub: &Domain, sup: &Domain) -> Result<()> {
 /// `xs[4k + j]` for `k = 0..chunks` left to right; the lanes combine as
 /// `(l0 + l2) + (l1 + l3)`; the `len % 4` tail entries then add in
 /// sequentially. The total starts from `0.0` — callers fold it into
-/// their own accumulator (see [`reduce_add_into`]).
+/// their own accumulator (see `reduce_add_into`).
 #[inline(always)]
 pub fn sum_canonical(xs: &[f64]) -> f64 {
     let mut it = xs.chunks_exact(4);

@@ -234,7 +234,7 @@ struct Inner {
     unlinked: Vec<Weak<ModelHandle>>,
 }
 
-/// The registry proper. See the [module docs](self).
+/// The registry proper. See the `registry` module docs.
 pub struct ModelRegistry {
     inner: Mutex<Inner>,
     budget_bytes: Option<u64>,

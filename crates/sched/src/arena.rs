@@ -89,8 +89,7 @@
 //! hard and soft evidence). It leaves the [`BufferInit::Scratch`]
 //! buffers (`sep_up` and the distribute `sep_down`, `ratio_down`,
 //! `ext_down`) as the last job left them, because every graph the
-//! builders emit — two-phase, collect-only, max-product and
-//! `replicate`d — writes each scratch buffer over its full length
+//! builders emit — two-phase, max-product and `replicate`d — writes each scratch buffer over its full length
 //! before any task reads it: a marginalization zero-fills its
 //! destination before accumulating, divide and extend overwrite
 //! theirs, and δ-partitioned parts tile the whole range. A job that was

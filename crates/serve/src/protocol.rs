@@ -875,7 +875,7 @@ pub fn resolve_finding(
 }
 
 /// Resolves the variable of one soft finding and checks its weights:
-/// one per state of the variable, and [`check_likelihood_weights`] —
+/// one per state of the variable, and `check_likelihood_weights` —
 /// the one check behind the wire's `"likelihood"` field and the CLI's
 /// `--likelihood`.
 ///
@@ -1093,7 +1093,7 @@ pub fn format_model_unloaded(tags: &[String]) -> String {
     out
 }
 
-/// Formats a `model-list` answer (schema in the [module docs](self)).
+/// Formats a `model-list` answer (schema in the `protocol` module docs).
 /// The registry returns names and versions sorted, so the line is
 /// deterministic for a fixed command transcript.
 pub fn format_model_list(models: &[ModelInfo]) -> String {
@@ -1140,7 +1140,7 @@ fn micros(d: std::time::Duration) -> u64 {
 }
 
 /// Formats a [`RuntimeStats`] snapshot as one `{"stats": …}` response
-/// line (schema in the [module docs](self)). The kernel-plan cache
+/// line (schema in the `protocol` module docs). The kernel-plan cache
 /// counters are appended as a `"plan_cache"` object only when the
 /// snapshot carries them ([`RuntimeStats::plan_cache`] is `Some`).
 pub fn format_stats(stats: &RuntimeStats) -> String {
@@ -1240,7 +1240,7 @@ pub fn format_stats(stats: &RuntimeStats) -> String {
 }
 
 /// Formats recent-query summaries as one `{"trace": …}` response line
-/// (schema in the [module docs](self)). Each target is named from the
+/// (schema in the `protocol` module docs). Each target is named from the
 /// table of the version that answered it — `names` only for summaries
 /// that recorded none (a runtime without a registry) — and positionally
 /// (`v<i>`) when that version has since been dropped.

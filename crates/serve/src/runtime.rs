@@ -397,7 +397,7 @@ impl Inner {
     }
 }
 
-/// The sharded serving runtime. See the [module docs](self).
+/// The sharded serving runtime. See the `runtime` module docs.
 pub struct ShardedRuntime {
     inner: Arc<Inner>,
     dispatchers: Mutex<Vec<std::thread::JoinHandle<()>>>,

@@ -2,10 +2,10 @@
 
 use crate::graph::{
     fresh_layout_id, BufferId, BufferInit, BufferSpec, CliquePlans, DownBuffers, EdgeBuffers,
-    EdgePlans, Phase, PropagationMode, Task, TaskGraph, TaskId, TaskKind,
+    EdgePlans, PropagationMode, TaskGraph,
 };
 use crate::plan_cache::PlanCache;
-use crate::slice::Hazards;
+use crate::slice::{EdgeUpdate, Hazards};
 use evprop_jtree::{CliqueId, TreeShape};
 use evprop_potential::{Domain, EntryRange};
 use std::sync::OnceLock;
@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 /// `Marginalize → Multiply` (the child's separator marginal multiplied
 /// straight into the parent through the (parent, separator) index map)
 /// plus the 4-primitive distribute chain `Marginalize → Divide → Extend
-/// → Multiply` (Fig. 2b/c). A collect-only graph has 2 per edge.
+/// → Multiply` (Fig. 2b/c).
 pub const MESSAGE_TASKS_PER_EDGE: usize = 6;
 
 impl TaskGraph {
@@ -44,22 +44,11 @@ impl TaskGraph {
     /// instead of summing, producing the max-calibrated tree used for
     /// most-probable-explanation queries. The graph structure, weights
     /// and dependencies are identical in both modes.
+    ///
+    /// The tasks are the message emitter's with every clique
+    /// re-collected and every edge distributed fresh in preorder: the
+    /// full graph is the slice that recomputes everything.
     pub fn from_shape_mode(shape: &TreeShape, mode: PropagationMode) -> TaskGraph {
-        Self::build(shape, mode, true)
-    }
-
-    /// Builds only the **collect phase** toward the shape's current root:
-    /// after execution the root clique is fully calibrated (it holds
-    /// `P(C_root, e)`), while every other clique is not. Answering a
-    /// single in-clique query this way costs half the propagation work of
-    /// the full two-phase schedule — re-root the shape at a clique
-    /// covering the query first.
-    pub fn collect_only(shape: &TreeShape, mode: PropagationMode) -> TaskGraph {
-        Self::build(shape, mode, false)
-    }
-
-    fn build(shape: &TreeShape, mode: PropagationMode, include_distribute: bool) -> TaskGraph {
-        let max = mode == PropagationMode::MaxProduct;
         let n = shape.num_cliques();
         let mut g = TaskGraph {
             tasks: Vec::with_capacity(MESSAGE_TASKS_PER_EDGE * n.saturating_sub(1)),
@@ -75,15 +64,10 @@ impl TaskGraph {
             resolved: OnceLock::new(),
             hazards: Hazards::default(),
         };
-        // Every task's dependencies, flat in task order.
-        let mut preds: Vec<TaskId> = Vec::new();
 
         // clique potentials occupy buffers 0..n
         for c in (0..n).map(CliqueId) {
-            let b = g.push_buffer(BufferSpec {
-                domain: shape.domain(c).clone(),
-                init: BufferInit::CliquePotential(c),
-            });
+            let b = g.push_buffer(shape.domain(c).clone(), BufferInit::CliquePotential(c));
             g.clique_buffers.push(b);
         }
 
@@ -92,32 +76,16 @@ impl TaskGraph {
             if shape.parent(c).is_none() {
                 continue;
             }
-            let sep = shape.parent_separator(c).clone();
-            let eb = EdgeBuffers {
-                sep_up: g.push_buffer(BufferSpec {
-                    domain: sep.clone(),
-                    init: BufferInit::Scratch,
-                }),
-                stash: g.push_buffer(BufferSpec {
-                    domain: sep.clone(),
-                    init: BufferInit::SliceScratch,
-                }),
-                down: include_distribute.then(|| DownBuffers {
-                    sep_down: g.push_buffer(BufferSpec {
-                        domain: sep.clone(),
-                        init: BufferInit::Scratch,
-                    }),
-                    ratio_down: g.push_buffer(BufferSpec {
-                        domain: sep.clone(),
-                        init: BufferInit::Scratch,
-                    }),
-                    ext_down: g.push_buffer(BufferSpec {
-                        domain: shape.domain(c).clone(),
-                        init: BufferInit::Scratch,
-                    }),
-                }),
-            };
-            g.edge_buffers[c.index()] = Some(eb);
+            let sep = shape.parent_separator(c);
+            g.edge_buffers[c.index()] = Some(EdgeBuffers {
+                sep_up: g.push_buffer(sep.clone(), BufferInit::Scratch),
+                stash: g.push_buffer(sep.clone(), BufferInit::SliceScratch),
+                down: DownBuffers {
+                    sep_down: g.push_buffer(sep.clone(), BufferInit::Scratch),
+                    ratio_down: g.push_buffer(sep.clone(), BufferInit::Scratch),
+                    ext_down: g.push_buffer(shape.domain(c).clone(), BufferInit::Scratch),
+                },
+            });
         }
 
         // Compile-once index maps: one interned shape per clique and two
@@ -146,183 +114,29 @@ impl TaskGraph {
             .collect();
         g.clique_plans = clique_plans;
 
-        // ---------------- collect phase (postorder) ----------------
-        // mul_up_chain[p] = last collect Multiply writing clique p
-        let mut mul_up_chain: Vec<Option<TaskId>> = vec![None; n];
-        // mul_up_of[c] = the collect Multiply of c's message into its
-        // parent (the clique-updating-graph "depends on all children"
-        // edge set)
-        let mut mul_up_of: Vec<Option<TaskId>> = vec![None; n];
-        for c in shape.postorder() {
-            let Some(p) = shape.parent(c) else { continue };
-            let (eb, ep) = g.edge(c);
-            let clique_dom = shape.domain(c);
-            let parent_dom = shape.domain(p);
-
-            let marg = g.push_task(
-                Task {
-                    kind: TaskKind::Marginalize {
-                        src: g.clique_buffers[c.index()],
-                        dst: eb.sep_up,
-                        max,
-                    },
-                    // == the interned plan's ops(): one op per scan
-                    // entry, without forcing compilation at build time
-                    weight: clique_dom.size() as u64,
-                    phase: Phase::Collect,
-                    clique: c,
-                    plan: Some(ep.up),
-                },
-                // clique c is ready once every child's collect message
-                // has been multiplied in
-                shape
-                    .children(c)
-                    .iter()
-                    .map(|ch| mul_up_of[ch.index()].expect("children processed first")),
-                &mut preds,
-            );
-
-            // serialize with the previous multiply into the parent
-            let mul = g.push_task(
-                Task {
-                    kind: TaskKind::Multiply {
-                        src: eb.sep_up,
-                        dst: g.clique_buffers[p.index()],
-                    },
-                    weight: parent_dom.size() as u64,
-                    phase: Phase::Collect,
-                    clique: p,
-                    plan: Some(ep.down),
-                },
-                [marg].into_iter().chain(mul_up_chain[p.index()]),
-                &mut preds,
-            );
-            mul_up_chain[p.index()] = Some(mul);
-            mul_up_of[c.index()] = Some(mul);
-        }
-
-        // ---------------- distribute phase (preorder) ----------------
-        let mut mul_down_of: Vec<Option<TaskId>> = vec![None; n];
-        let distribute_cliques: &[evprop_jtree::CliqueId] = if include_distribute {
-            shape.preorder()
-        } else {
-            &[]
-        };
-        for &c in distribute_cliques.iter() {
-            let Some(p) = shape.parent(c) else { continue };
-            let (eb, ep) = g.edge(c);
-            let down = eb.down.expect("distribute graphs allocate down buffers");
-            let sep_len = g.buffers[down.sep_down.index()].domain.size() as u64;
-            let clique_dom = shape.domain(c);
-            let parent_dom = shape.domain(p);
-
-            // The parent is fully updated once (a) its last collect
-            // multiply finished — `mul_up_chain[p]` transitively orders
-            // all of them — and (b) its own distribute multiply finished
-            // (absent for the root).
-            let last_collect = mul_up_chain[p.index()]
-                .expect("p has at least child c, so a collect multiply exists");
-            let marg = g.push_task(
-                Task {
-                    kind: TaskKind::Marginalize {
-                        src: g.clique_buffers[p.index()],
-                        dst: down.sep_down,
-                        max,
-                    },
-                    weight: parent_dom.size() as u64,
-                    phase: Phase::Distribute,
-                    clique: p,
-                    plan: Some(ep.down),
-                },
-                [last_collect].into_iter().chain(mul_down_of[p.index()]),
-                &mut preds,
-            );
-
-            // ψ**_S / ψ*_S — the denominator is the collect-phase
-            // separator, whose writer (MARG_up of c) precedes this task
-            // through mul_up_chain[p].
-            let div = g.push_task(
-                Task {
-                    kind: TaskKind::Divide {
-                        num: down.sep_down,
-                        den: eb.sep_up,
-                        dst: down.ratio_down,
-                    },
-                    weight: sep_len,
-                    phase: Phase::Distribute,
-                    clique: c,
-                    plan: None,
-                },
-                [marg],
-                &mut preds,
-            );
-
-            let ext = g.push_task(
-                Task {
-                    kind: TaskKind::Extend {
-                        src: down.ratio_down,
-                        dst: down.ext_down,
-                    },
-                    weight: clique_dom.size() as u64,
-                    phase: Phase::Distribute,
-                    clique: c,
-                    plan: Some(ep.up),
-                },
-                [div],
-                &mut preds,
-            );
-
-            // Writes clique c; prior writers (collect multiplies into c)
-            // and readers (MARG_up of c) are ordered before this task
-            // through the dependency chain — see the crate docs' safety
-            // argument and `TaskGraph::validate`.
-            let mul = g.push_task(
-                Task {
-                    kind: TaskKind::Multiply {
-                        src: down.ext_down,
-                        dst: g.clique_buffers[c.index()],
-                    },
-                    weight: clique_dom.size() as u64,
-                    phase: Phase::Distribute,
-                    clique: c,
-                    plan: Some(g.clique_plans[c.index()].own),
-                },
-                [ext],
-                &mut preds,
-            );
-            mul_down_of[c.index()] = Some(mul);
-        }
-
-        g.link_successors(&preds);
+        let everything = vec![true; n];
+        let distribute = shape
+            .preorder()
+            .iter()
+            .skip(1)
+            .map(|&c| (c, EdgeUpdate::Fresh));
+        let max = mode == PropagationMode::MaxProduct;
+        g.emit_messages(&mut Hazards::default(), shape, &everything, distribute, max);
         debug_assert!(g.validate().is_ok(), "builder produced an invalid graph");
         g
     }
 
-    fn push_buffer(&mut self, spec: BufferSpec) -> BufferId {
+    fn push_buffer(&mut self, domain: Domain, init: BufferInit) -> BufferId {
         let id = BufferId(self.buffers.len());
-        self.buffers.push(spec);
+        self.buffers.push(BufferSpec { domain, init });
         id
-    }
-
-    /// Appends `task`, recording its dependencies `deps` in `preds`
-    /// (the input of [`TaskGraph::link_successors`]).
-    fn push_task(
-        &mut self,
-        task: Task,
-        deps: impl IntoIterator<Item = TaskId>,
-        preds: &mut Vec<TaskId>,
-    ) -> TaskId {
-        let before = preds.len();
-        preds.extend(deps);
-        self.pred_count.push((preds.len() - before) as u32);
-        self.tasks.push(task);
-        TaskId(self.tasks.len() - 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::{Phase, TaskId, TaskKind};
     use evprop_potential::{Domain, PrimitiveKind, VarId, Variable};
 
     fn dom(ids: &[u32]) -> Domain {
@@ -557,48 +371,5 @@ mod tests {
             .count();
         assert_eq!(n_stash, 2);
         assert_eq!(g.buffers().len(), n_clique + n_scratch + n_stash);
-    }
-}
-
-#[cfg(test)]
-mod collect_only_tests {
-    use super::*;
-    use crate::graph::PropagationMode;
-    use evprop_potential::{Domain, VarId, Variable};
-
-    fn chain_shape(n: usize) -> TreeShape {
-        let domains: Vec<Domain> = (0..n)
-            .map(|i| {
-                Domain::new(vec![
-                    Variable::binary(VarId(i as u32)),
-                    Variable::binary(VarId(i as u32 + 1)),
-                ])
-                .unwrap()
-            })
-            .collect();
-        let edges: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
-        TreeShape::new(domains, &edges, 0).unwrap()
-    }
-
-    #[test]
-    fn collect_only_has_half_the_tasks() {
-        // The collect half of the messages: 2 of the
-        // MESSAGE_TASKS_PER_EDGE tasks of every edge.
-        let shape = chain_shape(6);
-        let full = TaskGraph::from_shape(&shape);
-        let half = TaskGraph::collect_only(&shape, PropagationMode::SumProduct);
-        assert_eq!(full.num_tasks(), MESSAGE_TASKS_PER_EDGE * 5);
-        assert_eq!(half.num_tasks(), 2 * 5);
-        half.validate().unwrap();
-        assert!(half.buffers().len() < full.buffers().len());
-        // every task is a collect-phase task
-        assert!(half.tasks().iter().all(|t| t.phase == Phase::Collect));
-    }
-
-    #[test]
-    fn collect_only_single_clique_is_empty() {
-        let shape = chain_shape(1);
-        let g = TaskGraph::collect_only(&shape, PropagationMode::SumProduct);
-        assert_eq!(g.num_tasks(), 0);
     }
 }

@@ -88,8 +88,8 @@ pub struct EdgeBuffers {
     /// new marginal in (written before it is read; unused by built
     /// graphs).
     pub stash: BufferId,
-    /// Distribute-phase buffers; absent in collect-only graphs.
-    pub down: Option<DownBuffers>,
+    /// Distribute-phase buffers.
+    pub down: DownBuffers,
 }
 
 /// Distribute-phase scratch for one edge.
@@ -305,7 +305,8 @@ pub struct TaskGraph {
     /// through `plans` by the first [`TaskGraph::task_plan_ref`] (a
     /// slice scaffold copies its origin's) and borrowed from then on.
     pub(crate) resolved: OnceLock<Vec<Option<Arc<KernelPlan>>>>,
-    /// The slice builder's reusable state (empty outside scaffolds).
+    /// The message emitter's reusable state (empty outside slice
+    /// scaffolds).
     pub(crate) hazards: Hazards,
 }
 

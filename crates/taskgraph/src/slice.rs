@@ -1,5 +1,11 @@
-//! Dirty-slice extraction: build the *fragment* of the propagation DAG
-//! that an incremental evidence update actually needs to re-run.
+//! The message emitter and dirty-slice extraction.
+//!
+//! [`TaskGraph::emit_messages`] writes every task list this crate
+//! builds: the collect messages into a set of re-collected cliques,
+//! then the distribute messages along a sequence of edges, with
+//! [`Hazards`] deriving each task's dependencies from the buffers it
+//! reads and writes. The full two-phase graph is the slice that
+//! re-collects every clique and distributes every edge fresh.
 //!
 //! After a full two-phase propagation, the table arena holds every
 //! clique belief, every collect message `ψ*_S` (`sep_up`) and every
@@ -67,6 +73,15 @@ pub struct SlicePlan {
 }
 
 impl SlicePlan {
+    /// An empty plan (nothing to re-collect, no path) for an `n`-clique
+    /// tree.
+    pub fn default_for(n: usize) -> Self {
+        SlicePlan {
+            recollect: vec![false; n],
+            path: Vec::new(),
+        }
+    }
+
     /// Number of cliques flagged for re-collection.
     pub fn dirty_cliques(&self) -> usize {
         self.recollect.iter().filter(|&&d| d).count()
@@ -85,9 +100,10 @@ impl SlicePlan {
 /// runs after the last writer of each buffer it reads, after the last
 /// writer of its destination, and after every reader of its destination
 /// since that write (write-after-read). Emission order therefore fixes
-/// the serialization of same-buffer writers — the slice builder emits
-/// multiplies in the full graph's children order, which keeps slice
-/// arithmetic bit-identical to full propagation on unpartitioned runs.
+/// the serialization of same-buffer writers: the emitter writes the
+/// multiplies into a clique in children order, in the full graph and in
+/// every slice alike, which keeps slice arithmetic bit-identical to
+/// full propagation on unpartitioned runs.
 ///
 /// A slice scaffold keeps its tracker across rebuilds: the per-buffer
 /// tables are sized once, and a rebuild resets only the buffers the
@@ -132,7 +148,7 @@ impl Hazards {
         }
     }
 
-    fn emit(&mut self, g: &mut TaskGraph, task: Task) -> TaskId {
+    fn emit(&mut self, g: &mut TaskGraph, task: Task) {
         let id = TaskId(g.tasks.len());
         let kind = task.kind;
         let dst = kind.dst();
@@ -165,32 +181,174 @@ impl Hazards {
         self.touch(dst);
         self.last_write[dst.index()] = Some(id);
         self.last_read[dst.index()] = None;
-        id
     }
 }
 
 impl TaskGraph {
+    /// Replaces this graph's tasks and dependency edges with the
+    /// messages of one propagation over its own buffer and plan tables
+    /// (Fig. 2c), `hz` deriving every dependency: the collect messages
+    /// into the cliques `recollect` flags, then the distribute chains of
+    /// the `path` edges, as [`TaskGraph::incremental_slice`] describes.
+    /// The multiplies into a parent run in children order. `max`
+    /// selects max-marginalization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a flagged clique's parent is not flagged (`recollect`
+    /// must be upward-closed) or if a path edge's child is the root.
+    pub(crate) fn emit_messages(
+        &mut self,
+        hz: &mut Hazards,
+        shape: &TreeShape,
+        recollect: &[bool],
+        path: impl IntoIterator<Item = (CliqueId, EdgeUpdate)>,
+        max: bool,
+    ) {
+        self.tasks.clear();
+        self.pred_count.clear();
+        hz.restart(self.buffers.len());
+
+        for c in shape.postorder() {
+            let Some(p) = shape.parent(c) else { continue };
+            let dirty = recollect[c.index()];
+            if !recollect[p.index()] {
+                assert!(
+                    !dirty,
+                    "recollect set must be upward-closed ({c:?} flagged, parent {p:?} not)"
+                );
+                continue;
+            }
+            let (eb, ep) = self.edge(c);
+            if dirty {
+                let task = Task {
+                    kind: TaskKind::Marginalize {
+                        src: self.clique_buffers[c.index()],
+                        dst: eb.sep_up,
+                        max,
+                    },
+                    // == the interned plan's ops(): one op per scan
+                    // entry, without forcing compilation
+                    weight: shape.domain(c).size() as u64,
+                    phase: Phase::Collect,
+                    clique: c,
+                    plan: Some(ep.up),
+                };
+                hz.emit(self, task);
+            }
+            let task = Task {
+                kind: TaskKind::Multiply {
+                    src: eb.sep_up,
+                    dst: self.clique_buffers[p.index()],
+                },
+                weight: shape.domain(p).size() as u64,
+                phase: Phase::Collect,
+                clique: p,
+                plan: Some(ep.down),
+            };
+            hz.emit(self, task);
+        }
+
+        for (c, update) in path {
+            if update == EdgeUpdate::Skip {
+                continue;
+            }
+            let p = shape.parent(c).expect("path edges name non-root children");
+            let (eb, ep) = self.edge(c);
+            let down = eb.down;
+            let parent = self.clique_buffers[p.index()];
+            let clique_len = shape.domain(c).size() as u64;
+            let sep_len = shape.parent_separator(c).size() as u64;
+            let marg = |dst: BufferId| Task {
+                kind: TaskKind::Marginalize {
+                    src: parent,
+                    dst,
+                    max,
+                },
+                weight: shape.domain(p).size() as u64,
+                phase: Phase::Distribute,
+                clique: p,
+                plan: Some(ep.down),
+            };
+            let div = |num: BufferId, den: BufferId| Task {
+                kind: TaskKind::Divide {
+                    num,
+                    den,
+                    dst: down.ratio_down,
+                },
+                weight: sep_len,
+                phase: Phase::Distribute,
+                clique: c,
+                plan: None,
+            };
+            match update {
+                EdgeUpdate::Fresh => {
+                    // Standard Hugin chain: μ_new = Σ_p B(p), ratio
+                    // against the child's fresh collect separator.
+                    hz.emit(self, marg(down.sep_down));
+                    hz.emit(self, div(down.sep_down, eb.sep_up));
+                }
+                EdgeUpdate::Stale => {
+                    // Division update: stash μ_new, ratio it against
+                    // the *stored* μ_old in sep_down, then persist
+                    // μ_new into sep_down (ordered after the divide's
+                    // read by the hazard tracker) so the invariant
+                    // "sep_down is the separator marginal of the
+                    // child's belief" holds at the child's new epoch.
+                    hz.emit(self, marg(eb.stash));
+                    hz.emit(self, div(eb.stash, down.sep_down));
+                    hz.emit(self, marg(down.sep_down));
+                }
+                EdgeUpdate::Skip => unreachable!(),
+            }
+            let extend = Task {
+                kind: TaskKind::Extend {
+                    src: down.ratio_down,
+                    dst: down.ext_down,
+                },
+                weight: clique_len,
+                phase: Phase::Distribute,
+                clique: c,
+                plan: Some(ep.up),
+            };
+            hz.emit(self, extend);
+            let multiply = Task {
+                kind: TaskKind::Multiply {
+                    src: down.ext_down,
+                    dst: self.clique_buffers[c.index()],
+                },
+                weight: clique_len,
+                phase: Phase::Distribute,
+                clique: c,
+                plan: Some(self.clique_plans[c.index()].own),
+            };
+            hz.emit(self, multiply);
+        }
+
+        self.link_successors(&hz.preds);
+    }
+
     /// Builds the dirty-slice graph for `plan` over this full two-phase
     /// graph. The result shares this graph's buffer table (same ids,
     /// same count), so it executes on an arena initialized for the full
     /// graph; its tasks carry this graph's interned plan ids.
     ///
-    /// The collect part walks `plan.recollect` in postorder: for each
-    /// flagged clique, dirty children's messages are recomputed (their
-    /// `Marginalize` into `sep_up`) and every child's `sep_up` — cached
-    /// or fresh — is multiplied back in through the edge's (parent,
-    /// separator) plan, in children order — the full graph's collect
-    /// chain. The distribute part walks
+    /// The collect part walks `shape` in postorder: at each non-root
+    /// clique whose parent is flagged in `plan.recollect`, it
+    /// recomputes the clique's message (`Marginalize` into `sep_up`) if
+    /// the clique is flagged too, then multiplies that message — fresh
+    /// or cached — into the parent. The distribute part walks
     /// `plan.path` from the root outward, emitting the standard chain
     /// for [`EdgeUpdate::Fresh`] edges and the division-against-stored-
-    /// `sep_down` chain for [`EdgeUpdate::Stale`] edges.
+    /// `sep_down` chain for [`EdgeUpdate::Stale`] edges. The slice that
+    /// flags every clique and names every non-root clique in preorder
+    /// as `Fresh` is [`TaskGraph::from_shape`]'s graph.
     ///
     /// # Panics
     ///
     /// Panics if `plan.recollect` is flagged on a clique whose parent is
-    /// not flagged (the set must be upward-closed), if a path edge's
-    /// child is the root, or if this graph lacks distribute buffers
-    /// (collect-only graphs cannot slice).
+    /// not flagged (the set must be upward-closed) or if a path edge's
+    /// child is the root.
     pub fn incremental_slice(&self, shape: &TreeShape, plan: &SlicePlan) -> TaskGraph {
         let mut g = self.slice_scaffold();
         self.slice_into(&mut g, shape, plan);
@@ -240,163 +398,24 @@ impl TaskGraph {
     /// or if `scratch` was not scaffolded from this graph (or a clone
     /// of it).
     pub fn slice_into(&self, scratch: &mut TaskGraph, shape: &TreeShape, plan: &SlicePlan) {
-        let n = shape.num_cliques();
-        assert_eq!(plan.recollect.len(), n, "one recollect flag per clique");
+        assert_eq!(
+            plan.recollect.len(),
+            shape.num_cliques(),
+            "one recollect flag per clique"
+        );
         assert_eq!(
             scratch.layout_id, self.layout_id,
             "scratch graph was not scaffolded from this graph"
         );
-        scratch.tasks.clear();
-        scratch.pred_count.clear();
         scratch.plans.reset_memo();
         let mut hz = std::mem::take(&mut scratch.hazards);
-        hz.restart(scratch.buffers.len());
-        let g = scratch;
-
-        // ---------------- collect along dirty paths ----------------
-        for c in shape.postorder() {
-            if !plan.recollect[c.index()] {
-                continue;
-            }
-            if let Some(p) = shape.parent(c) {
-                assert!(
-                    plan.recollect[p.index()],
-                    "recollect set must be upward-closed ({c:?} flagged, parent {p:?} not)"
-                );
-            }
-            let parent_len = shape.domain(c).size() as u64;
-            for &ch in shape.children(c) {
-                let (eb, ep) = self.edge(ch);
-                if plan.recollect[ch.index()] {
-                    // Dirty child: recompute its message.
-                    hz.emit(
-                        g,
-                        Task {
-                            kind: TaskKind::Marginalize {
-                                src: self.clique_buffers[ch.index()],
-                                dst: eb.sep_up,
-                                max: false,
-                            },
-                            weight: shape.domain(ch).size() as u64,
-                            phase: Phase::Collect,
-                            clique: ch,
-                            plan: Some(ep.up),
-                        },
-                    );
-                }
-                // Every child's message — cached or fresh — multiplies
-                // back into the re-initialized parent, in children
-                // order (matching the full graph's serialization).
-                hz.emit(
-                    g,
-                    Task {
-                        kind: TaskKind::Multiply {
-                            src: eb.sep_up,
-                            dst: self.clique_buffers[c.index()],
-                        },
-                        weight: parent_len,
-                        phase: Phase::Collect,
-                        clique: c,
-                        plan: Some(ep.down),
-                    },
-                );
-            }
-        }
-
-        // ------------- distribute along the query path -------------
-        for &(ch, update) in &plan.path {
-            if update == EdgeUpdate::Skip {
-                continue;
-            }
-            let p = shape.parent(ch).expect("path edges name non-root children");
-            let (eb, ep) = self.edge(ch);
-            let down = eb.down.expect("incremental slices need distribute buffers");
-            let clique_len = shape.domain(ch).size() as u64;
-            let sep_len = shape.parent_separator(ch).size() as u64;
-            let marg = |dst: BufferId| Task {
-                kind: TaskKind::Marginalize {
-                    src: self.clique_buffers[p.index()],
-                    dst,
-                    max: false,
-                },
-                weight: shape.domain(p).size() as u64,
-                phase: Phase::Distribute,
-                clique: p,
-                plan: Some(ep.down),
-            };
-            let div = |num: BufferId, den: BufferId| Task {
-                kind: TaskKind::Divide {
-                    num,
-                    den,
-                    dst: down.ratio_down,
-                },
-                weight: sep_len,
-                phase: Phase::Distribute,
-                clique: ch,
-                plan: None,
-            };
-            match update {
-                EdgeUpdate::Fresh => {
-                    // Standard Hugin chain: μ_new = Σ_p B(p), ratio
-                    // against the child's fresh collect separator.
-                    hz.emit(g, marg(down.sep_down));
-                    hz.emit(g, div(down.sep_down, eb.sep_up));
-                }
-                EdgeUpdate::Stale => {
-                    // Division update: stash μ_new, ratio it against
-                    // the *stored* μ_old in sep_down, then persist
-                    // μ_new into sep_down (ordered after the divide's
-                    // read by the hazard tracker) so the invariant
-                    // "sep_down is the separator marginal of the
-                    // child's belief" holds at the child's new epoch.
-                    hz.emit(g, marg(eb.stash));
-                    hz.emit(g, div(eb.stash, down.sep_down));
-                    hz.emit(g, marg(down.sep_down));
-                }
-                EdgeUpdate::Skip => unreachable!(),
-            }
-            hz.emit(
-                g,
-                Task {
-                    kind: TaskKind::Extend {
-                        src: down.ratio_down,
-                        dst: down.ext_down,
-                    },
-                    weight: clique_len,
-                    phase: Phase::Distribute,
-                    clique: ch,
-                    plan: Some(ep.up),
-                },
-            );
-            hz.emit(
-                g,
-                Task {
-                    kind: TaskKind::Multiply {
-                        src: down.ext_down,
-                        dst: self.clique_buffers[ch.index()],
-                    },
-                    weight: clique_len,
-                    phase: Phase::Distribute,
-                    clique: ch,
-                    plan: Some(self.clique_plans[ch.index()].own),
-                },
-            );
-        }
-
-        g.link_successors(&hz.preds);
-        g.hazards = hz;
-        debug_assert!(g.validate().is_ok(), "slice builder produced invalid graph");
-    }
-}
-
-impl SlicePlan {
-    /// An empty plan (nothing to re-collect, no path) for an `n`-clique
-    /// tree.
-    pub fn default_for(n: usize) -> Self {
-        SlicePlan {
-            recollect: vec![false; n],
-            path: Vec::new(),
-        }
+        let path = plan.path.iter().copied();
+        scratch.emit_messages(&mut hz, shape, &plan.recollect, path, false);
+        scratch.hazards = hz;
+        debug_assert!(
+            scratch.validate().is_ok(),
+            "slice builder produced invalid graph"
+        );
     }
 }
 

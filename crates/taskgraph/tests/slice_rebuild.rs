@@ -1,6 +1,7 @@
 //! The slice builder rebuilt through one scaffold: it builds what a
 //! fresh scaffold builds, every task's plan id names the plan its own
-//! domains compile to, and a warm rebuild performs no heap allocation.
+//! domains compile to, a warm rebuild performs no heap allocation, and
+//! the slice that re-collects everything is the full graph.
 
 use evprop_jtree::{CliqueId, TreeShape};
 use evprop_potential::plan::KernelPlan;
@@ -150,6 +151,35 @@ proptest! {
                     prop_assert_eq!(fresh.task_plan(t).as_deref(), Some(&want));
                 }
             }
+        }
+    }
+
+    /// The full graph is the slice that re-collects every clique and
+    /// distributes every edge fresh in preorder: the same tasks in the
+    /// same order, with the same successor lists.
+    #[test]
+    fn full_graph_is_the_slice_that_recollects_everything(
+        seed in 0u64..5000,
+        n in 1usize..40,
+        w in 2usize..6,
+        k in 1usize..5,
+    ) {
+        let shape = random_tree(&TreeParams::new(n, w, 2, k).with_seed(seed));
+        let full = TaskGraph::from_shape(&shape);
+        let plan = SlicePlan {
+            recollect: vec![true; n],
+            path: shape.preorder()[1..].iter().map(|&c| (c, EdgeUpdate::Fresh)).collect(),
+        };
+        let slice = full.incremental_slice(&shape, &plan);
+        prop_assert_eq!(slice.num_tasks(), full.num_tasks());
+        for t in (0..full.num_tasks()).map(TaskId) {
+            let (a, b) = (slice.task(t), full.task(t));
+            prop_assert_eq!(
+                (a.kind, a.weight, a.phase, a.clique, a.plan),
+                (b.kind, b.weight, b.phase, b.clique, b.plan)
+            );
+            prop_assert_eq!(slice.successors(t), full.successors(t));
+            prop_assert_eq!(slice.dependency_degree(t), full.dependency_degree(t));
         }
     }
 }

@@ -11,7 +11,7 @@
 //!   arena checkouts — plus job- and query-level spans;
 //! * per-thread **span recorders** ([`SpanRecorder`]) writing into
 //!   fixed-capacity ring buffers: zero allocation on the hot path,
-//!   drop-oldest on overflow with a counted [`ThreadTrace::dropped`],
+//!   drop-oldest on overflow with a counted [`ThreadTrace::dropped_events`],
 //!   monotonic timestamps from one shared [`TraceClock`] epoch;
 //! * a [`TraceSink`] bundling one recorder per worker thread (plus a
 //!   control row for job/query/checkout events), drained into a

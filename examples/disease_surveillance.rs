@@ -4,7 +4,7 @@
 //!
 //! Demonstrates the full pipeline on a network class the paper's
 //! introduction motivates (medical diagnosis / consumer help desks), plus
-//! the collect-only fast path and the triangulation-heuristic choice.
+//! the triangulation-heuristic choice.
 //!
 //! ```sh
 //! cargo run --release --example disease_surveillance
@@ -70,16 +70,6 @@ fn main() -> Result<(), EngineError> {
     for (d, p) in ranked.iter().take(5) {
         println!("  disease {d:>2}: P = {p:.4}");
     }
-
-    // the collect-only fast path answers a single query with half the work
-    let t0 = Instant::now();
-    let fast = session.posterior_collect_only(&engine, VarId(ranked[0].0), &ev)?;
-    let fast_time = t0.elapsed();
-    println!(
-        "\ncollect-only query of the top disease: P = {:.4} in {fast_time:?}",
-        fast.data()[1]
-    );
-    assert!((fast.data()[1] - ranked[0].1).abs() < 1e-9);
 
     // most probable joint explanation of the presentation
     let mpe = session.most_probable_explanation(&engine, &ev)?;

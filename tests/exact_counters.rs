@@ -48,7 +48,7 @@ fn tree_counters_are_exact() {
         weight: 164_592,
         buffer_bytes: 587_264,
         plans: 380,
-        plan_bytes: 103_776,
+        plan_bytes: 88_576,
     };
     for seed in [1, 2] {
         assert_eq!(counters(128, 8, seed), want, "potential seed {seed}");
@@ -62,7 +62,7 @@ fn wide_counters_are_exact() {
         weight: 472_512,
         buffer_bytes: 1_587_200,
         plans: 70,
-        plan_bytes: 149_552,
+        plan_bytes: 146_752,
     };
     for seed in [1, 2] {
         assert_eq!(counters(24, 12, seed), want, "potential seed {seed}");

@@ -79,18 +79,3 @@ fn mpe_matches_viterbi() {
         );
     }
 }
-
-#[test]
-fn collect_only_filtering_query() {
-    // a filtering-style query: posterior of the LAST hidden state; the
-    // collect-only path re-roots at its clique and halves the work
-    let (hmm, session, obs, ev) = setup();
-    let (gamma, _) = hmm.smooth(&obs);
-    let last = HiddenMarkovModel::hidden_var(STEPS - 1);
-    let fast = session
-        .posterior_collect_only(&SequentialEngine, last, &ev)
-        .expect("collect-only");
-    for (i, &want) in gamma[STEPS - 1].iter().enumerate() {
-        assert!((fast.data()[i] - want).abs() < 1e-8, "state {i}");
-    }
-}
