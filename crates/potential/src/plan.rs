@@ -30,7 +30,8 @@
 //! length, so a plan stores that length once and **one target base per
 //! block** (`bases`, as `u32`): a partial `head` block where the range
 //! starts mid-block, the whole blocks, and a partial `tail` where it
-//! ends mid-block, with the two partial lengths beside them. The interpreter runs the head, then the whole blocks —
+//! ends mid-block, with the two partial lengths beside them. The
+//! interpreter runs the head, then the whole blocks —
 //! `for i in 0..block { dst[base + i] op= src[pos + i] }`, or a
 //! `fill`/reduction for broadcast blocks — then the tail. Block lengths
 //! 1, 2, 4, 8 and 16 run as compile-time constants, so a short block is
@@ -421,8 +422,7 @@ impl KernelPlan {
 
     /// Memory footprint of this compiled program in bytes: the struct
     /// itself plus its heap-allocated base list (whole and partial
-    /// blocks). Backs the model
-    /// registry's resident-byte accounting.
+    /// blocks). Backs the model registry's resident-byte accounting.
     pub fn resident_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.bases.len() * std::mem::size_of::<u32>()
     }

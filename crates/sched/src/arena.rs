@@ -89,10 +89,11 @@
 //! hard and soft evidence). It leaves the [`BufferInit::Scratch`]
 //! buffers (`sep_up` and the distribute `sep_down`, `ratio_down`,
 //! `ext_down`) as the last job left them, because every graph the
-//! builders emit — two-phase, max-product and `replicate`d — writes each scratch buffer over its full length
-//! before any task reads it: a marginalization zero-fills its
-//! destination before accumulating, divide and extend overwrite
-//! theirs, and δ-partitioned parts tile the whole range. A job that was
+//! builders emit — two-phase, max-product and `replicate`d — writes
+//! each scratch buffer over its full length before any task reads it:
+//! a marginalization zero-fills its destination before accumulating,
+//! divide and extend overwrite theirs, and δ-partitioned parts tile the
+//! whole range. A job that was
 //! cancelled or panicked halfway leaves scratch half-written, which the
 //! next full job overwrites the same way. Incremental slices are the
 //! one reader of scratch an earlier job wrote (the cached `sep_up`

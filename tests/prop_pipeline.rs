@@ -183,9 +183,8 @@ proptest! {
     }
 
     /// Every graph the builders emit — sum and max, and their replicas
-    /// — writes each scratch buffer before
-    /// any task reads it: what lets `TableArena::reset` leave scratch
-    /// alone.
+    /// — writes each scratch buffer before any task reads it: what lets
+    /// `TableArena::reset` leave scratch alone.
     #[test]
     fn built_graphs_write_scratch_before_reading_it(
         seed in 0u64..5000,
